@@ -31,8 +31,7 @@ fn main() {
         for &n in &sizes {
             let steps = args.steps.unwrap_or(120);
             let model = torus_model(n, steps, 1.0);
-            let (stats, _) =
-                median_wall(|| run_point_timewarp(&model, args.seed, 2, kps, 512).stats);
+            let stats = median_wall(|| run_point_timewarp(&model, args.seed, 2, kps, 512).stats);
             cells.push(f(stats.event_rate()));
         }
         report.row(&cells);

@@ -14,7 +14,7 @@
 //! cargo run --release -p bench --bin rollback_ablation [--csv]
 //! ```
 
-use bench::{check, f, torus_model, Args, Report};
+use bench::{check, f, median_wall, torus_model, Args, Report};
 use hotpotato::{simulate_parallel, simulate_parallel_state_saving};
 use pdes::EngineConfig;
 
@@ -47,13 +47,8 @@ fn main() {
             .with_pes(2)
             .with_kps(64);
 
-        let median = |f: &dyn Fn() -> pdes::EngineStats| {
-            let mut runs: Vec<pdes::EngineStats> = (0..3).map(|_| f()).collect();
-            runs.sort_by_key(|s| s.wall_time);
-            runs.swap_remove(1)
-        };
-        let rc = median(&|| check(simulate_parallel(&model, &engine)).stats);
-        let ss = median(&|| check(simulate_parallel_state_saving(&model, &engine)).stats);
+        let rc = median_wall(|| check(simulate_parallel(&model, &engine)).stats);
+        let ss = median_wall(|| check(simulate_parallel_state_saving(&model, &engine)).stats);
 
         report.row(&[
             n.to_string(),

@@ -259,45 +259,49 @@ pub fn run_point_timewarp(
 /// warm-up pass, then `samples` timed passes, and prints median/min/max.
 pub fn bench_time<R>(name: &str, samples: usize, mut f: impl FnMut() -> R) -> Duration {
     std::hint::black_box(f()); // warm-up
-    let mut times: Vec<Duration> = (0..samples.max(1))
+    let times: Vec<Duration> = (0..samples.max(1))
         .map(|_| {
             let t0 = std::time::Instant::now();
             std::hint::black_box(f());
             t0.elapsed()
         })
         .collect();
-    times.sort();
-    let median = times[times.len() / 2];
+    let median = median_of(&times);
     println!(
         "{name:<44} median {:>11.3?}  min {:>11.3?}  max {:>11.3?}  ({} samples)",
         median,
-        times[0],
-        times[times.len() - 1],
+        best_wall(&times),
+        times.iter().max().expect("at least one sample"),
         times.len()
     );
     median
 }
 
-/// Median-of-three engine stats by wall time, re-running the closure.
-pub fn median_wall<F: FnMut() -> EngineStats>(mut run: F) -> (EngineStats, Duration) {
+/// Engine stats of the median-by-wall-time run of three, re-running the
+/// closure.
+pub fn median_wall<F: FnMut() -> EngineStats>(mut run: F) -> EngineStats {
     let mut results: Vec<EngineStats> = (0..3).map(|_| run()).collect();
     results.sort_by_key(|s| s.wall_time);
-    let mid = results.swap_remove(1);
-    let wall = mid.wall_time;
-    (mid, wall)
+    results.swap_remove(1)
 }
 
 // ---------------------------------------------------------------------------
-// Paired-sample statistics — shared by the BENCH gate binaries
-// (`bench_pr8`, `perf_history`; earlier gates carry local copies that
-// predate this module).
+// Paired-sample statistics: the one copy, used by `overhead` and
+// `bench_time`.
 // ---------------------------------------------------------------------------
 
-/// Median wall over one mode's interleaved samples.
+/// Median wall of a non-empty sample set (mean of the two middle samples
+/// when the count is even).
 pub fn median_of(walls: &[Duration]) -> Duration {
     let mut sorted = walls.to_vec();
     sorted.sort();
-    sorted[sorted.len() / 2]
+    let n = sorted.len();
+    assert!(n > 0, "median_of of empty sample set");
+    if n % 2 == 1 {
+        sorted[n / 2]
+    } else {
+        (sorted[n / 2 - 1] + sorted[n / 2]) / 2
+    }
 }
 
 /// Best (minimum) wall. On an oversubscribed CI container co-tenant noise
@@ -318,6 +322,7 @@ pub fn overhead_pct_best(dark: &[Duration], instrumented: &[Duration]) -> f64 {
 /// Same-mode noise floor: the apparent "overhead" between the even- and
 /// odd-indexed halves of one mode's interleaved samples. Any measured
 /// cross-mode overhead below this is indistinguishable from scheduler noise.
+/// Fewer than two samples have no halves to compare: 0.0.
 pub fn noise_floor_pct(dark: &[Duration]) -> f64 {
     let even: Vec<Duration> = dark.iter().step_by(2).copied().collect();
     let odd: Vec<Duration> = dark.iter().skip(1).step_by(2).copied().collect();
@@ -325,4 +330,49 @@ pub fn noise_floor_pct(dark: &[Duration]) -> f64 {
         return 0.0;
     }
     overhead_pct_best(&even, &odd).abs()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ms(v: &[u64]) -> Vec<Duration> {
+        v.iter().map(|&m| Duration::from_millis(m)).collect()
+    }
+
+    #[test]
+    fn median_of_odd_even_and_single() {
+        assert_eq!(median_of(&ms(&[9, 1, 5])), Duration::from_millis(5));
+        // Even count: mean of the two middle samples, not the upper one.
+        assert_eq!(median_of(&ms(&[8, 2, 4, 6])), Duration::from_millis(5));
+        assert_eq!(median_of(&ms(&[1, 2])), Duration::from_micros(1500));
+        assert_eq!(median_of(&ms(&[7])), Duration::from_millis(7));
+    }
+
+    #[test]
+    fn best_wall_is_the_minimum() {
+        assert_eq!(best_wall(&ms(&[9, 3, 5])), Duration::from_millis(3));
+        assert_eq!(best_wall(&ms(&[4])), Duration::from_millis(4));
+    }
+
+    #[test]
+    fn overhead_pct_best_sign_convention() {
+        // Slower instrumented side => positive; faster => negative. Only the
+        // fastest sample of each side counts.
+        let dark = ms(&[100, 400]);
+        assert!((overhead_pct_best(&dark, &ms(&[300, 110])) - 10.0).abs() < 1e-9);
+        assert!((overhead_pct_best(&dark, &ms(&[90, 500])) + 10.0).abs() < 1e-9);
+        assert_eq!(overhead_pct_best(&dark, &dark), 0.0);
+    }
+
+    #[test]
+    fn noise_floor_pct_is_total_on_tiny_inputs() {
+        assert_eq!(noise_floor_pct(&[]), 0.0);
+        assert_eq!(noise_floor_pct(&ms(&[5])), 0.0);
+        // Two samples: halves [100] and [110], floor 10 %.
+        assert!((noise_floor_pct(&ms(&[100, 110])) - 10.0).abs() < 1e-9);
+        // Always non-negative, whichever half is faster.
+        let floor = noise_floor_pct(&ms(&[110, 100]));
+        assert!(floor.is_finite() && floor > 0.0);
+    }
 }

@@ -8,7 +8,7 @@
 //! unit tests, `obs_report`, and CI to prove exported files are well-formed
 //! without pulling in a JSON crate. The parser side ([`parse`] /
 //! [`JsonValue`]) is the read path the multi-run aggregator
-//! ([`agg`](super::agg)) and the `perf_history` gate use to consume the
+//! ([`agg`](super::agg)) and the repo benchmark use to consume the
 //! files this repo itself emits — same RFC 8259 grammar, but it builds a
 //! value tree. Integers are kept exact up to the full `u64`/`i64` range
 //! (`lvt` is `u64::MAX` on idle PEs; an f64 round-trip would corrupt it).

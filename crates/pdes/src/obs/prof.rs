@@ -318,8 +318,9 @@ impl fmt::Display for PhaseProfile {
 }
 
 /// Default stride shift for hot phases: 1 scope in `2^7 = 128` is timed.
-/// Chosen so the default-on profiler stays under the `bench_pr4` overhead
-/// budget even on one oversubscribed core, where a clock read costs far
+/// Chosen so the default-on profiler stays under the default-observability
+/// overhead budget (the `overhead` bench's `default` row) even on one
+/// oversubscribed core, where a clock read costs far
 /// more than the hot-path work it brackets. Lower it (`PDES_OBS_PROF_SHIFT`)
 /// for finer histograms on short runs.
 pub const DEFAULT_SAMPLE_SHIFT: u32 = 7;

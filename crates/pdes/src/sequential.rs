@@ -23,9 +23,13 @@ use crate::stats::{EngineStats, RunResult};
 
 /// Run `model` to completion on the sequential kernel.
 ///
-/// Only `end_time`, `seed`, `scheduler`, `arena_slots` and the checkpoint
-/// knobs are consulted from the config; PE/KP/GVT settings are meaningless without
-/// optimism, and the communication faults of a configured
+/// Consulted from the config: `end_time`, `seed`, `scheduler`,
+/// `arena_slots`, the checkpoint knobs, `obs` (same telemetry surface as
+/// the parallel kernel), `audit` / `audit_probe`, and `gvt_interval` —
+/// there is no GVT here, so it is the number of committed events between
+/// telemetry samples, scheduler audits and checkpoint opportunities.
+/// PE/KP/lookahead/batching settings are meaningless without optimism, and
+/// the communication faults of a configured
 /// [`fault_plan`](crate::config::EngineConfig::fault_plan) are ignored
 /// (there is no inter-PE boundary to inject them at — only
 /// [`poison_ckpt`](crate::fault::FaultPlan::poison_ckpt) applies here). An

@@ -4,19 +4,28 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== cargo fmt --check =="
+# Stage bookkeeping for the closing summary line.
+stages=0
+skipped=()
+stage() { stages=$((stages + 1)); echo "== $* =="; }
+skip() { echo "SKIPPED: $2"; skipped+=("$1"); }
+
+stage "cargo fmt --check"
 cargo fmt --check
 
-echo "== cargo build --release =="
+stage "cargo build --release"
 cargo build --release
 
-echo "== cargo test -q =="
+stage "cargo test -q"
 cargo test -q
 
-echo "== cargo clippy --all-targets -- -D warnings =="
+stage "cargo test -q -p bench (shared statistics; outside default-members)"
+cargo test -q -p bench
+
+stage "cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== lint_reversible: self-test + model-tree scan =="
+stage "lint_reversible: self-test + model-tree scan"
 # Static reversibility lint (crates/bench/src/bin/lint_reversible.rs):
 # proves its four rules fire on the in-tree fixtures, then requires the
 # model crates to scan clean (allowlist: scripts/lint_reversible.allow).
@@ -24,7 +33,7 @@ cargo build --release -p bench --bin lint_reversible
 ./target/release/lint_reversible --self-test
 ./target/release/lint_reversible
 
-echo "== lint_atomics: self-test + kernel scan =="
+stage "lint_atomics: self-test + kernel scan"
 # Static memory-ordering lint (crates/bench/src/bin/lint_atomics.rs): every
 # atomic op in crates/pdes/src must carry an `// ORDER:` rationale. Proves
 # the rule fires on the fixtures first (allowlist:
@@ -33,7 +42,7 @@ cargo build --release -p bench --bin lint_atomics
 ./target/release/lint_atomics --self-test
 ./target/release/lint_atomics
 
-echo "== mcheck: exhaustive concurrency model checking (--cfg mcheck) =="
+stage "mcheck: exhaustive concurrency model checking (--cfg mcheck)"
 # The in-tree model checker (pdes::mcheck) explores every bounded
 # interleaving + weak-memory read choice of the lock-free protocols: SPSC
 # ring transfer (incl. index wraparound), spill/drain conservation,
@@ -74,7 +83,7 @@ print(f"mcheck.json: {len(models)} models complete "
 EOF
 fi
 
-echo "== miri: unit tests on comm/pool/scheduler/sync/gvt (nightly-gated) =="
+stage "miri: unit tests on comm/pool/scheduler/sync/gvt (nightly-gated)"
 # The SPSC comm fabric is the only unsafe code in the tree; run its unit
 # tests (plus the pool and scheduler modules it leans on) under Miri when a
 # nightly toolchain with the component is installed. CI boxes without
@@ -89,10 +98,10 @@ if command -v rustup >/dev/null 2>&1 \
         cargo +nightly miri test -p pdes --lib -- \
         comm:: pool:: scheduler:: sync:: gvt::
 else
-    echo "SKIPPED: nightly toolchain with miri not installed"
+    skip miri "nightly toolchain with miri not installed"
 fi
 
-echo "== thread sanitizer: comm stress test (nightly-gated) =="
+stage "thread sanitizer: comm stress test (nightly-gated)"
 # TSan needs -Zsanitizer=thread plus a rebuilt std (-Zbuild-std), which in
 # turn needs the rust-src component. Gate on all of it; SKIPPED otherwise.
 if command -v rustup >/dev/null 2>&1 \
@@ -104,25 +113,22 @@ if command -v rustup >/dev/null 2>&1 \
         cargo +nightly test -p pdes --lib --target "$host" \
         -Zbuild-std -- comm::tests::concurrent_producer_consumer_stress
 else
-    echo "SKIPPED: nightly toolchain with rust-src not installed"
+    skip tsan "nightly toolchain with rust-src not installed"
 fi
 
-echo "== bench smoke: 16x16 torus at 1 and 4 PEs (BENCH_pr2.json) =="
-# Perf-trajectory smoke: asserts parallel output == sequential oracle at
-# both PE counts, then records committed-events/sec. Not a pass/fail gate
-# on throughput (CI machines vary); the JSON is the artifact to eyeball.
-# All BENCH artifacts land in artifacts/ only — the single source of truth
-# the perf_history gate below reads.
-cargo build --release -p bench
-mkdir -p artifacts
-# --baseline is the pre-comm-fabric (mutex inbox) 4-PE throughput measured on
-# the 1-core reference box; keeps the speedup field in the regenerated JSON.
-./target/release/bench_pr2 --out=artifacts/BENCH_pr2.json --baseline=845529
-cat artifacts/BENCH_pr2.json
+stage "repo benchmark: build + contract tests (benchmark/)"
+# The benchmark package pins a large slice of the public API (every
+# EngineConfig field, the scheduler kinds, EventQueue, pdes::obs::json) and
+# lives outside this workspace; build and test it here so an API break is
+# caught before the pipeline's parent-vs-change run. Reads benchmark/,
+# changes nothing in it (output goes to the ignored benchmark/target).
+cargo build --release --manifest-path benchmark/Cargo.toml
+cargo test --release -q --manifest-path benchmark/Cargo.toml
 
-echo "== instrumented smoke: trace + metrics export (artifacts/) =="
+stage "instrumented smoke: trace + metrics export (artifacts/)"
 # Full-verbosity run with both exporters on; obs_report itself re-validates
 # everything it writes with the in-tree JSON validator before exiting 0.
+cargo build --release -p bench
 ./target/release/obs_report \
     --steps=48 --progress=16 \
     --trace=artifacts/trace.json --metrics=artifacts/metrics.jsonl \
@@ -133,19 +139,13 @@ echo "== instrumented smoke: trace + metrics export (artifacts/) =="
 if command -v python3 >/dev/null 2>&1; then
     python3 -m json.tool artifacts/trace.json >/dev/null
     python3 -m json.tool artifacts/packet_flows.json >/dev/null
-    python3 - artifacts/metrics.jsonl <<'EOF'
+    python3 - artifacts/metrics.jsonl artifacts/lineage.jsonl <<'EOF'
 import json, sys
-with open(sys.argv[1]) as f:
-    n = sum(1 for line in f if line.strip() and json.loads(line))
-assert n > 0, "metrics.jsonl is empty"
-print(f"metrics.jsonl: {n} snapshots parsed")
-EOF
-    python3 - artifacts/lineage.jsonl <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    n = sum(1 for line in f if line.strip() and json.loads(line))
-assert n > 0, "lineage.jsonl is empty"
-print(f"lineage.jsonl: {n} hops parsed")
+for path in sys.argv[1:]:
+    with open(path) as f:
+        n = sum(1 for line in f if line.strip() and json.loads(line))
+    assert n > 0, f"{path} is empty"
+    print(f"{path}: {n} lines parsed")
 EOF
     python3 - artifacts/summary.json <<'EOF'
 import json, sys
@@ -161,183 +161,30 @@ print(f"summary.json: {s['events_committed']} committed, "
 EOF
 fi
 
-echo "== bench smoke: observability overhead (BENCH_pr3.json) =="
-# Gates the *default* always-on telemetry (GVT-round series + sink) at
-# <3% committed-events/sec vs a dark run, using interleaved paired samples;
-# full-verbosity overhead is recorded in the JSON informationally.
-./target/release/bench_pr3 --out=artifacts/BENCH_pr3.json
+stage "overhead: toggle costs vs same-process references (BENCH_overhead.json)"
+# One interleaved paired-sample table on the continuity scenario (4-PE 16x16
+# torus): every mode must commit the sequential oracle's output before it is
+# timed; default obs <= 5% over dark, hub <= 5% over default, blame-on <= 3%
+# over blame-off, each above the reference row's measured noise floor; the
+# profiler, packet-trace, verbose, jsonl, audit and checkpoint rows are
+# informational. Self-validates its JSON and exits 1 on a gate failure.
+# Throughput itself is benchmark/run.sh's job, not this script's.
+./target/release/overhead --out=artifacts/BENCH_overhead.json
 
-echo "== bench smoke: profiler + packet-trace overhead (BENCH_pr4.json) =="
-# Gates the default-on phase profiler at <3% committed-events/sec vs a dark
-# run (paired interleaved samples); full packet tracing is recorded
-# informationally. Also re-asserts committed output and committed lineage
-# are bit-identical to the sequential oracle before timing anything.
-./target/release/bench_pr4 --out=artifacts/BENCH_pr4.json
-if command -v python3 >/dev/null 2>&1; then
-    python3 - artifacts/BENCH_pr4.json <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    b = json.load(f)
-assert b["within_budget"], f"profiler overhead {b['overhead_pct_profiler']}% over budget"
-for m in b["modes"]:
-    if m["mode"] != "prof_off":
-        assert abs(m["phase_share_sum"] - 1.0) < 1e-6, m
-print(f"BENCH_pr4.json: profiler {b['overhead_pct_profiler']}%, "
-      f"tracing {b['overhead_pct_tracing']}% (informational)")
-EOF
-fi
-
-echo "== bench smoke: runtime-auditor overhead (BENCH_pr5.json) =="
-# Gates the audit-OFF configuration at <1% committed-events/sec regression
-# vs the PR 4 dark baseline just regenerated above (same machine, same
-# session); audit-ON overhead (probe re-execution) is informational. Both
-# modes re-assert bit-identical committed output vs the sequential oracle.
-./target/release/bench_pr5 --baseline=artifacts/BENCH_pr4.json --out=artifacts/BENCH_pr5.json
-if command -v python3 >/dev/null 2>&1; then
-    python3 - artifacts/BENCH_pr5.json <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    b = json.load(f)
-assert b["within_budget"], \
-    f"audit-off regression {b['regression_pct_vs_baseline']}% over budget"
-modes = {m["mode"]: m for m in b["modes"]}
-assert modes["audit_off"]["events_committed"] == modes["audit_on"]["events_committed"]
-print(f"BENCH_pr5.json: audit-off regression {b['regression_pct_vs_baseline']}% "
-      f"vs PR4 baseline; audit-on {b['overhead_pct_audit_on']}% (informational)")
-EOF
-fi
-
-echo "== chaos: kill-and-resume recovery matrix (tests/checkpoint.rs) =="
+stage "chaos: kill-and-resume recovery matrix (tests/checkpoint.rs)"
 # Release-mode rerun of the crash-recovery matrix: killed parallel runs are
 # resumed from the newest intact snapshot and must commit bit-identical
 # output to the uninterrupted sequential oracle across {heap,splay,calendar}
 # schedulers x {1,2,4} PEs; torn snapshots must be rejected with fallback.
 cargo test --release -q --test checkpoint
 
-echo "== bench smoke: checkpoint overhead (BENCH_pr6.json) =="
-# Gates the ckpt-OFF configuration at <1% committed-events/sec regression
-# vs the PR 5 dark baseline just regenerated above (same machine, same
-# session); snapshot-every-GVT-round cost is informational. Both modes
-# re-assert bit-identical committed output vs the sequential oracle.
-./target/release/bench_pr6 --baseline=artifacts/BENCH_pr5.json --out=artifacts/BENCH_pr6.json
-if command -v python3 >/dev/null 2>&1; then
-    python3 - artifacts/BENCH_pr6.json <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    b = json.load(f)
-assert b["within_budget"], \
-    f"ckpt-off regression {b['regression_pct_vs_baseline']}% over budget"
-modes = {m["mode"]: m for m in b["modes"]}
-assert modes["ckpt_off"]["events_committed"] == modes["ckpt_every_round"]["events_committed"]
-assert modes["ckpt_every_round"]["checkpoints_written"] > 0
-print(f"BENCH_pr6.json: ckpt-off regression {b['regression_pct_vs_baseline']}% "
-      f"vs PR5 baseline; every-round snapshots "
-      f"{b['overhead_pct_ckpt_every_round']}% (informational)")
-EOF
-fi
-
-echo "== alloc smoke: ~0 allocations per committed event =="
+stage "alloc smoke: ~0 allocations per committed event"
 # Counting global allocator over a warm 4-PE run: total allocations
 # (including per-run setup) divided by committed events must stay under the
 # 0.2 budget — one leaked allocation per event would be ~5x over.
 ./target/release/alloc_smoke
 
-echo "== bench gate: arena/zero-copy speedup (BENCH_pr7.json) =="
-# Paired-sample gate vs the frozen PR 6 ckpt-off baseline (embedded in the
-# binary): committed-events/sec on the 4-PE 16x16 torus must be >= 1.3x.
-# Asserts committed output bit-identical to the sequential oracle AND to
-# the pre-arena golden Debug string before timing anything. Audit-fast and
-# streaming-checkpoint costs are recorded informationally.
-./target/release/bench_pr7 --out=artifacts/BENCH_pr7.json
-if command -v python3 >/dev/null 2>&1; then
-    python3 - artifacts/BENCH_pr7.json <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    b = json.load(f)
-assert b["pass"], f"arena speedup {b['speedup_best']}x below {b['min_speedup']}x gate"
-modes = {m["mode"]: m for m in b["modes"]}
-assert modes["arena"]["arena_peak_slots"] > 0
-assert modes["ckpt_every_round"]["checkpoint_bytes"] > 0
-print(f"BENCH_pr7.json: arena speedup {b['speedup_best']}x best / "
-      f"{b['speedup_median']}x median vs PR6 baseline "
-      f"(noise floor {b['noise_floor_pct']}%); audit_fast "
-      f"{b['overhead_pct_audit_fast']}% vs audit_full "
-      f"{b['overhead_pct_audit_full']}% (informational)")
-EOF
-fi
-
-echo "== bench gate: fleet-telemetry overhead (BENCH_pr8.json) =="
-# Paired-sample gate on the PR 8 surface: run-manifest write + JSONL metric
-# streaming + heartbeat emission must cost <5% committed-events/sec vs
-# default-on observability without a sink. Also round-trips the manifest
-# through the in-tree parser and requires start/end heartbeats to bracket
-# the stream before timing anything.
-./target/release/bench_pr8 --out=artifacts/BENCH_pr8.json
-if command -v python3 >/dev/null 2>&1; then
-    python3 - artifacts/BENCH_pr8.json <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    b = json.load(f)
-assert b["within_budget"], \
-    f"fleet telemetry overhead {b['overhead_pct_hub_on']}% over budget"
-modes = {m["mode"]: m for m in b["modes"]}
-assert modes["hub_off"]["events_committed"] == modes["hub_on"]["events_committed"]
-assert b["heartbeat_lines"] >= 2 and b["manifest_bytes"] > 0
-print(f"BENCH_pr8.json: hub_on {b['overhead_pct_hub_on']}% "
-      f"(jsonl-only {b['overhead_pct_jsonl_only']}%, "
-      f"noise floor {b['noise_floor_pct']}%), "
-      f"{b['heartbeat_lines']} heartbeats, {b['manifest_bytes']} manifest bytes")
-EOF
-fi
-
-echo "== bench gate: rollback-forensics overhead (BENCH_pr9.json) =="
-# Paired-sample gate on the PR 9 surface: cascade attribution + blame matrix
-# + wasted-work ledger must cost <3% committed-events/sec vs blame-off.
-# Before timing it runs the {heap,splay,calendar} x {1,2,4}-PE matrix:
-# committed output pinned to the sequential oracle, blame ledger reconciled
-# exactly with the legacy rollback counters, canonical blame JSON
-# byte-stable, structural zeros at 1 PE, and the ledger's wasted_ns within
-# one rounding per priced scope of the profiler's estimate.
-./target/release/bench_pr9 --out=artifacts/BENCH_pr9.json
-if command -v python3 >/dev/null 2>&1; then
-    python3 - artifacts/BENCH_pr9.json <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    b = json.load(f)
-assert b["within_budget"], \
-    f"rollback forensics overhead {b['overhead_pct_blame_on']}% over budget"
-modes = {m["mode"]: m for m in b["modes"]}
-assert modes["blame_off"]["events_committed"] == modes["blame_on"]["events_committed"]
-assert b["matrix_points"] == 9, b
-print(f"BENCH_pr9.json: blame_on {b['overhead_pct_blame_on']}% "
-      f"(noise floor {b['noise_floor_pct']}%), {b['matrix_points']} matrix "
-      f"points, {b['warmup_cascades']} cascades, "
-      f"{b['warmup_wasted_ns']} ns wasted on warm-up")
-EOF
-fi
-
-echo "== bench gate: sync-facade zero cost (BENCH_pr10.json) =="
-# The pdes::sync atomics facade must inline to raw std atomics in native
-# builds: the facade mode (identical config to PR 9's blame_off side,
-# regenerated above on this machine) may not regress committed-events/sec
-# by more than 1% beyond the noise floors of BOTH processes (the two
-# numbers are separate runs minutes apart; either side's floor bounds the
-# cross-process drift).
-./target/release/bench_pr10 --baseline=artifacts/BENCH_pr9.json --out=artifacts/BENCH_pr10.json
-if command -v python3 >/dev/null 2>&1; then
-    python3 - artifacts/BENCH_pr10.json <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    b = json.load(f)
-assert b["within_budget"], \
-    f"facade regression {b['regression_pct_vs_baseline']}% over budget"
-assert b["baseline_events_per_sec"] is not None, "PR 9 baseline missing"
-print(f"BENCH_pr10.json: facade regression {b['regression_pct_vs_baseline']}% "
-      f"vs PR9 blame_off (noise floor {b['noise_floor_pct']}%)")
-EOF
-fi
-
-echo "== forensics smoke: rollback_report on the figure-7 regime =="
+stage "forensics smoke: rollback_report on the figure-7 regime"
 # Who-caused-it report on an instrumented tight-GVT run: cross-checks the
 # blame ledger against the legacy counters (aborts on divergence), then
 # writes a validated JSON artifact + a Chrome cascade-flow trace.
@@ -364,7 +211,7 @@ EOF
     python3 -m json.tool artifacts/cascades.trace.json >/dev/null
 fi
 
-echo "== obs_hub: injected-fault selftest + mini-farm smoke =="
+stage "obs_hub: injected-fault selftest + mini-farm smoke"
 # Fault selftest: a synthesized GVT-stalled stream and a silent stream must
 # each produce the matching structured HealthEvent (exit 1 otherwise).
 ./target/release/obs_hub selftest-faults --quiet
@@ -395,10 +242,8 @@ print(f"mini-farm: {r['runs']} runs ended, {r['committed']} committed, "
 EOF
 fi
 
-echo "== perf_history: BENCH trajectory gate over artifacts/ =="
-# Folds every artifacts/BENCH_pr*.json (all regenerated above, same machine,
-# same session) into one normalized timeline: each file's own gate verdict
-# must hold, and the primary throughput must not collapse >25% PR-over-PR.
-./target/release/perf_history --dir=artifacts --max-drop-pct=25
-
-echo "CI gate passed."
+if [ ${#skipped[@]} -eq 0 ]; then
+    echo "CI gate passed: $stages stages, none skipped."
+else
+    echo "CI gate passed: $stages stages, SKIPPED: ${skipped[*]}."
+fi

@@ -199,3 +199,46 @@ fn throttled_optimism_matches_sequential_hotpotato() {
     .unwrap();
     assert_eq!(par.output, seq.output);
 }
+
+/// Committed history of the continuity scenario (16×16 torus, load 0.4, 96
+/// steps, seed `0xBE9C_0702`), captured from the pre-arena engine (PR 6) and
+/// carried unchanged through every kernel rewrite since. Sequential and
+/// parallel agreeing with *each other* is checked above; this pins them to a
+/// fixed history, so a change that shifts both kernels the same way (RNG
+/// stream layout, tie-break order, model semantics) cannot pass silently.
+#[test]
+fn continuity_scenario_matches_pre_arena_golden_output() {
+    const GOLDEN_COMMITTED: u64 = 171_053;
+    const GOLDEN_OUTPUT: &str = "NetStats { totals: RouterStats { delivered: 6117, \
+        transit_steps_sum: 75879, distance_sum: 48602, delivered_deflections_sum: 10591, \
+        injected: 5946, wait_steps_sum: 4275, max_wait_steps: 15, inject_attempts: 10272, \
+        inject_failures: 4326, routes: 77332, routes_by_priority: [76454, 878, 0, 0], \
+        deflections: 12555, promotions: 202, demotions: 0, heartbeats: 0, stalls: 0 }, \
+        injectors: 107, routers: 256 }";
+
+    let model = HotPotatoModel::torus(HotPotatoConfig::new(16, 96).with_injectors(0.4));
+    let cfg = engine(&model, 0xBE9C_0702)
+        .with_kps(64)
+        .with_lookahead(model.natural_lookahead());
+    // `simulate_*` are `run_sequential` / `run_parallel_mapped` on the
+    // model's block mapping.
+    let seq = simulate_sequential(&model, &cfg).unwrap();
+    let par = simulate_parallel(&model, &cfg.clone().with_pes(4)).unwrap();
+    for (kernel, run) in [("sequential", &seq), ("parallel 4 PE", &par)] {
+        assert_eq!(run.stats.events_committed, GOLDEN_COMMITTED, "{kernel}");
+        assert_eq!(format!("{:?}", run.output), GOLDEN_OUTPUT, "{kernel}");
+    }
+}
+
+/// The hash-only auditor tier (`PDES_AUDIT=fast`: rollback re-checks,
+/// conservation ledger and scheduler digests, no reverse-replay probe) must
+/// observe without perturbing, like the full tier the debug suites run under.
+#[test]
+fn audit_fast_tier_matches_sequential() {
+    let model = HotPotatoModel::torus(HotPotatoConfig::new(8, 40));
+    let fast = engine(&model, 13).with_audit(true).with_audit_probe(false);
+    let seq = simulate_sequential(&model, &fast).unwrap();
+    let par = simulate_parallel(&model, &fast.clone().with_pes(2).with_kps(8)).unwrap();
+    assert_eq!(par.output, seq.output);
+    assert_eq!(par.stats.events_committed, seq.stats.events_committed);
+}
