@@ -38,7 +38,9 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::event::{ChildRef, EventId, EventKey, LpId};
+use crate::event::{Bitfield, ChildRef, EventId, EventKey, LpId, QueueEntry};
+use crate::model::{Emit, EventCtx, Model, ReverseCtx};
+use crate::obs::{FlightRecorder, ObsKind, ObsRecord};
 use crate::rng::{Clcg4, ReversibleRng};
 
 /// FNV-1a offset basis (64-bit).
@@ -203,12 +205,16 @@ impl fmt::Display for AuditViolation {
     }
 }
 
-/// LP fingerprint: the model's state digest plus the RNG stream position
-/// (stream state words and draw count). Restoring the state but leaving the
-/// RNG mis-stepped — or vice versa — is a reversibility bug either way.
-pub(crate) fn lp_fingerprint(state_digest: u64, rng: &Clcg4) -> u64 {
+/// LP fingerprint: the model's [`Model::audit_state`] digest plus the RNG
+/// stream position (stream state words and draw count). Restoring the state
+/// but leaving the RNG mis-stepped — or vice versa — is a reversibility bug
+/// either way. The one definition behind the probe, the rollback hash check,
+/// and the per-LP fingerprints stored in (and re-verified from) snapshots.
+pub(crate) fn lp_fingerprint<M: Model>(model: &M, lp: LpId, state: &M::State, rng: &Clcg4) -> u64 {
+    let mut digest = AuditHasher::new();
+    model.audit_state(lp, state, &mut digest);
     let mut h = AuditHasher::new();
-    h.write_u64(state_digest);
+    h.write_u64(digest.finish());
     for w in rng.state() {
         h.write_u64(w);
     }
@@ -216,11 +222,82 @@ pub(crate) fn lp_fingerprint(state_digest: u64, rng: &Clcg4) -> u64 {
     h.finish()
 }
 
+/// Reverse-replay probe, shared by both kernels: fingerprint the LP, run
+/// `handle` against a scratch emission buffer (no observability, no tracing
+/// — the probe must be invisible), run `reverse`, un-step the RNG, and
+/// require the fingerprint to return to its starting value. On success the
+/// LP, RNG, and payload are back exactly where they started, so the caller
+/// can execute `entry` for real; the pre-event fingerprint is returned for
+/// the rollback hash check. The probe's emits are discarded, never scheduled.
+pub(crate) fn probe_reverse<M: Model>(
+    model: &M,
+    pe: usize,
+    state: &mut M::State,
+    rng: &mut Clcg4,
+    entry: &QueueEntry,
+    payload: &mut M::Payload,
+    scratch: &mut Vec<Emit<M::Payload>>,
+) -> Result<u64, AuditViolation> {
+    let lp = entry.key.dst;
+    let before = lp_fingerprint(model, lp, state, rng);
+    debug_assert!(scratch.is_empty());
+    let mut bf = Bitfield::default();
+    let rng_before = rng.call_count();
+    let mut ctx = EventCtx {
+        lp,
+        src: entry.key.src,
+        now: entry.key.recv_time,
+        send_time: entry.key.send_time,
+        bf: &mut bf,
+        rng,
+        out: scratch,
+        obs: None,
+        trace: None,
+    };
+    model.handle(state, payload, &mut ctx);
+    scratch.clear();
+    let rng_calls = rng.call_count() - rng_before;
+    let rctx = ReverseCtx {
+        lp,
+        now: entry.key.recv_time,
+        bf,
+    };
+    model.reverse(state, payload, &rctx);
+    rng.reverse_n(rng_calls);
+    let after = lp_fingerprint(model, lp, state, rng);
+    if after != before {
+        return Err(AuditViolation {
+            pe,
+            lp: Some(lp),
+            id: Some(entry.id),
+            key: Some(entry.key),
+            check: AuditCheck::ReverseReplay,
+            detail: format!(
+                "handle+reverse left LP fingerprint {after:#018x}, expected {before:#018x} \
+                 (reverse is not an exact inverse of handle)"
+            ),
+        });
+    }
+    Ok(before)
+}
+
+/// Flight-record a violation (the record that lands in failure diagnostics).
+pub(crate) fn record_violation(recorder: &mut FlightRecorder, v: &AuditViolation) {
+    if recorder.wants(ObsKind::AuditViolation) {
+        recorder.record(ObsRecord::event(
+            ObsKind::AuditViolation,
+            v.id.unwrap_or(EventId(0)),
+            v.key.unwrap_or(crate::obs::NO_KEY),
+            v.check as u64,
+        ));
+    }
+}
+
 /// Per-kernel (per-PE) auditor bookkeeping.
 pub(crate) struct AuditState {
     /// Running XOR of [`event_fingerprint`]s of everything the kernel
     /// believes is in its scheduler.
-    pub(crate) sched_xor: u64,
+    sched_xor: u64,
     /// Speculative sends awaiting exactly one anti-message or commit,
     /// keyed by id, with the child's key and the sending LP for reporting.
     outstanding: HashMap<EventId, (EventKey, LpId)>,

@@ -1,8 +1,8 @@
 //! Structured run failures.
 //!
-//! Both kernels return `Result<RunResult<_>, RunError>`. A failing run never
-//! hangs and never aborts the process: a panicking model handler (or a
-//! violated kernel invariant) unwinds every PE and surfaces as
+//! Both kernels return `Result<RunResult<_>, RunError>`. A failing parallel
+//! run never hangs and never aborts the process: a panicking model handler
+//! (or a violated kernel invariant) unwinds every PE and surfaces as
 //! [`RunError::PePanic`] carrying per-PE diagnostics; a GVT that stops
 //! advancing (zero-delay livelock, scheduling bug) trips the liveness
 //! watchdog and surfaces as [`RunError::GvtStalled`]; malformed
@@ -20,7 +20,7 @@ use std::time::Duration;
 
 use crate::audit::AuditViolation;
 use crate::event::PeId;
-use crate::obs::RecorderSummary;
+use crate::obs::{FlightRecorder, RecorderSummary};
 use crate::stats::EngineStats;
 
 /// Why a kernel run failed.
@@ -286,6 +286,33 @@ pub struct PeDiagnostics {
     pub recorder: RecorderSummary,
 }
 
+/// Newest flight-recorder records decoded into failure diagnostics (the
+/// "last N actions" a post-mortem usually needs; the full ring stays
+/// available in memory until the runtime drops).
+const TRACE_TAIL: usize = 64;
+
+impl PeDiagnostics {
+    /// What either kernel can say about one PE at unwind time: pending-queue
+    /// depth, engine counters, and the decoded flight-recorder tail. The
+    /// speculation-only fields (uncommitted, held faults, deferred antis,
+    /// inbox) stay zero for the parallel kernel to fill in.
+    pub(crate) fn capture(
+        pe: PeId,
+        queue_depth: usize,
+        stats: &EngineStats,
+        recorder: &FlightRecorder,
+    ) -> PeDiagnostics {
+        PeDiagnostics {
+            pe,
+            queue_depth,
+            stats: stats.clone(),
+            trace: recorder.decode_last(TRACE_TAIL),
+            recorder: recorder.summary(pe),
+            ..Default::default()
+        }
+    }
+}
+
 /// Internal: the first failure recorded by any PE; converted into a
 /// [`RunError`] once every thread has unwound and diagnostics are complete.
 #[derive(Debug)]
@@ -294,11 +321,9 @@ pub(crate) enum FailureCause {
         pe: PeId,
         payload: String,
     },
+    /// The watchdog tripped: `elapsed` is zero for a round-count trip, the
+    /// wall time at the trip for an expired deadline.
     Stalled {
-        gvt: u64,
-        rounds: u64,
-    },
-    DeadlineExpired {
         gvt: u64,
         rounds: u64,
         elapsed: Duration,
@@ -315,6 +340,12 @@ pub(crate) enum FailureCause {
     },
 }
 
+impl From<AuditViolation> for FailureCause {
+    fn from(violation: AuditViolation) -> FailureCause {
+        FailureCause::Audit { violation }
+    }
+}
+
 impl FailureCause {
     pub(crate) fn into_error(self, diagnostics: RunDiagnostics) -> RunError {
         match self {
@@ -323,13 +354,7 @@ impl FailureCause {
                 payload,
                 diagnostics,
             },
-            FailureCause::Stalled { gvt, rounds } => RunError::GvtStalled {
-                gvt,
-                rounds,
-                elapsed: Duration::ZERO,
-                diagnostics,
-            },
-            FailureCause::DeadlineExpired {
+            FailureCause::Stalled {
                 gvt,
                 rounds,
                 elapsed,

@@ -77,13 +77,16 @@
 //! assert_eq!(par.output.0, 9);
 //! ```
 //!
-//! Both kernels return `Result<RunResult, RunError>`: a panicking model, a
-//! stalled GVT, or an invalid configuration surfaces as a structured
-//! [`RunError`](error::RunError) with per-PE diagnostics — never a deadlock
-//! or a process abort. The [`fault`] module can inject deterministic message
-//! delays, duplicates, and reorders at the inter-PE boundary to prove the
-//! rollback machinery absorbs them (committed output stays bit-identical to
-//! the sequential run).
+//! Both kernels return `Result<RunResult, RunError>`: an invalid
+//! configuration, an audit violation, an exhausted arena or a failed
+//! checkpoint is a structured [`RunError`](error::RunError) with per-PE
+//! diagnostics on either kernel. Only the parallel kernel contains panics
+//! and stalls (every PE runs under `catch_unwind` and a liveness watchdog:
+//! `PePanic` / `GvtStalled`, never a deadlock or a process abort); a model
+//! panic on the sequential kernel propagates to the caller. The [`fault`]
+//! module can inject deterministic message delays, duplicates, and reorders
+//! at the inter-PE boundary to prove the rollback machinery absorbs them
+//! (committed output stays bit-identical to the sequential run).
 
 // All `unsafe` in this crate lives in `comm` (the lock-free SPSC rings) and
 // the `sync` facade's `MCell` accessors they are built on; every block must
@@ -104,6 +107,7 @@ pub mod fault;
 mod gvt;
 mod hash;
 pub mod kp;
+mod lifecycle;
 pub mod mapping;
 #[cfg(mcheck)]
 pub mod mcheck;

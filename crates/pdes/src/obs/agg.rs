@@ -34,6 +34,7 @@
 //! Everything is dependency-free and consumes only files this repo itself
 //! emits, parsed with the in-tree [`json`] value parser.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs;
@@ -1313,17 +1314,18 @@ impl FleetMonitor {
 /// create the directory, write the [`RunManifest`], and install a
 /// [`JsonlSink`](super::JsonlSink) at that path (unless a sink is already
 /// configured — an explicit sink wins, but the manifest is still written).
-/// Returns the adjusted config the kernel should run with, or `None` when
-/// the run is not instrumented. IO failures surface as
-/// [`RunError::Obs`] — an instrumented run that cannot register is an
-/// error, not a silent gap in the registry.
-pub(crate) fn instrument(
-    config: &EngineConfig,
+/// Returns the config the kernel should run with: the caller's own when the
+/// run is not instrumented, otherwise an adjusted copy (metrics_path
+/// consumed, sink installed). IO failures surface as [`RunError::Obs`] — an
+/// instrumented run that cannot register is an error, not a silent gap in
+/// the registry.
+pub(crate) fn instrument<'a>(
+    config: &'a EngineConfig,
     n_lps: u64,
     kernel: &'static str,
-) -> Result<Option<EngineConfig>, RunError> {
+) -> Result<Cow<'a, EngineConfig>, RunError> {
     let Some(path) = config.obs.metrics_path.clone() else {
-        return Ok(None);
+        return Ok(Cow::Borrowed(config));
     };
     let mut cfg = config.clone();
     cfg.obs.metrics_path = None;
@@ -1342,7 +1344,7 @@ pub(crate) fn instrument(
             .map_err(|e| RunError::obs(format!("create metrics stream {}: {e}", path.display())))?;
         cfg.obs.sink = Some(std::sync::Arc::new(sink));
     }
-    Ok(Some(cfg))
+    Ok(Cow::Owned(cfg))
 }
 
 // ---------------------------------------------------------------------------

@@ -106,13 +106,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicU64;
 use std::sync::atomic::Ordering::SeqCst;
 use std::sync::{Mutex, MutexGuard, PoisonError};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::arena::{EventArena, SlotRef};
-use crate::audit::{
-    event_fingerprint, lp_fingerprint, AuditCheck, AuditHasher, AuditState, AuditViolation,
-};
-use crate::ckpt::{CkptPart, CkptWriter, EventRecord, LpRecord, RestoredRun, Snapshot};
+use crate::audit::{self, AuditCheck, AuditState, AuditViolation};
+use crate::ckpt::{self, BootFrame, CkptPart, Snapshot};
 use crate::comm::{Batch, CommFabric};
 use crate::config::EngineConfig;
 use crate::error::{decode_payload, FailureCause, PeDiagnostics, RunDiagnostics, RunError};
@@ -123,14 +121,15 @@ use crate::fault::FaultState;
 use crate::gvt::IncGvt;
 use crate::hash::{FastMap, FastSet};
 use crate::kp::{Kp, Processed};
+use crate::lifecycle;
 use crate::mapping::{FlatMapping, LinearMapping, Mapping};
-use crate::model::{Emit, EventCtx, InitCtx, Merge, Model, ReverseCtx};
+use crate::model::{Emit, EventCtx, Merge, Model, ReverseCtx};
 use crate::obs::blame::{BlameTracker, CascadeTag};
 use crate::obs::prof::{Phase, PhaseProfiler};
 use crate::obs::trace::{HopEmit, PacketTrace, PacketTracer};
 use crate::obs::{FlightRecorder, ObsKind, ObsRecord, RoundSeries, RoundSnapshot, Telemetry};
 use crate::pool::VecPool;
-use crate::rng::{stream_seed, Clcg4, ReversibleRng};
+use crate::rng::{Clcg4, ReversibleRng};
 use crate::scheduler::EventQueue;
 use crate::stats::{EngineStats, RunResult};
 use crate::sync::AbortableBarrier;
@@ -150,11 +149,6 @@ const SETTLE_POLLS: u32 = 0;
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
-
-/// Newest flight-recorder records decoded into failure diagnostics (the
-/// "last N actions" a post-mortem usually needs; the full ring stays
-/// available in memory until the runtime drops).
-const TRACE_TAIL: usize = 64;
 
 /// Record one kernel event into this PE's flight recorder. The leading
 /// `wants` check makes a disabled (or filtered) recorder cost one indexed
@@ -323,9 +317,6 @@ struct PeRuntime<'a, M: Model> {
     inc_round: u64,
     /// PE 0 only: whether an incremental reduction round is currently open.
     inc_open: bool,
-    /// Resolved GVT protocol for this run (see
-    /// [`EngineConfig::gvt_mode`](crate::config::EngineConfig::gvt_mode)).
-    use_barrier_gvt: bool,
     /// Ids of remote positives/antis already delivered once — consulted only
     /// under fault injection, where the chaos layer can deliver twice.
     /// Cleared at every GVT quiescence (no copy can be outstanding then).
@@ -404,87 +395,26 @@ impl<'a, M: Model> PeRuntime<'a, M> {
         }
     }
 
-    /// Auditor fingerprint of an owned LP: the model's state digest plus the
-    /// RNG stream position (see [`lp_fingerprint`]).
+    /// Auditor fingerprint of an owned LP (see [`audit::lp_fingerprint`]).
     fn audit_lp_fingerprint(&self, li: usize, lp: LpId) -> u64 {
-        let mut h = AuditHasher::new();
-        self.model.audit_state(lp, &self.slots[li].state, &mut h);
-        lp_fingerprint(h.finish(), &self.slots[li].rng)
+        let slot = &self.slots[li];
+        audit::lp_fingerprint(self.model, lp, &slot.state, &slot.rng)
     }
 
     /// Record an audit violation: flight-record it, then publish it as the
     /// run's failure (first failure wins) and abort the barrier so every PE
     /// unwinds at its next check.
     fn audit_violation(&mut self, v: AuditViolation) {
-        obs!(
-            self,
-            ObsKind::AuditViolation,
-            v.id.unwrap_or(EventId(0)),
-            v.key.unwrap_or(crate::obs::NO_KEY),
-            v.check as u64
-        );
-        self.shared.fail(FailureCause::Audit { violation: v });
+        audit::record_violation(&mut self.recorder, &v);
+        self.shared.fail(v.into());
     }
 
-    /// Reverse-replay probe: run `handle` against a scratch emission buffer
-    /// (no observability, no tracing — the probe must be invisible), run
-    /// `reverse`, un-step the RNG, and require the LP fingerprint to return
-    /// to `before`. On success the LP, RNG, and payload are back exactly
-    /// where they started, so the caller can execute the event for real.
-    fn probe_reverse(
-        &mut self,
-        li: usize,
-        lp: LpId,
-        entry: &QueueEntry,
-        before: u64,
-    ) -> Result<(), AuditViolation> {
-        let mut probe_out = std::mem::take(&mut self.probe_buf);
-        debug_assert!(probe_out.is_empty());
-        let mut bf = Bitfield::default();
-        let rng_before = self.slots[li].rng.call_count();
-        {
-            let slot = &mut self.slots[li];
-            let payload = self.arena.get_mut(entry.slot);
-            let mut ctx = EventCtx {
-                lp,
-                src: entry.key.src,
-                now: entry.key.recv_time,
-                send_time: entry.key.send_time,
-                bf: &mut bf,
-                rng: &mut slot.rng,
-                out: &mut probe_out,
-                obs: None,
-                trace: None,
-            };
-            self.model.handle(&mut slot.state, payload, &mut ctx);
-        }
-        probe_out.clear();
-        let rng_calls = self.slots[li].rng.call_count() - rng_before;
-        let rctx = ReverseCtx {
-            lp,
-            now: entry.key.recv_time,
-            bf,
-        };
-        {
-            let slot = &mut self.slots[li];
-            let payload = self.arena.get_mut(entry.slot);
-            self.model.reverse(&mut slot.state, payload, &rctx);
-        }
-        self.slots[li].rng.reverse_n(rng_calls);
-        self.probe_buf = probe_out;
-        let after = self.audit_lp_fingerprint(li, lp);
-        if after != before {
-            return Err(AuditViolation {
-                pe: self.id,
-                lp: Some(lp),
-                id: Some(entry.id),
-                key: Some(entry.key),
-                check: AuditCheck::ReverseReplay,
-                detail: format!(
-                    "handle+reverse left LP fingerprint {after:#018x}, expected {before:#018x} \
-                     (reverse is not an exact inverse of handle)"
-                ),
-            });
+    /// Gate on an auditor check (`None` = auditor off): a violation fails
+    /// the run and halts this PE.
+    fn audit_gate(&mut self, check: Option<Result<(), AuditViolation>>) -> Result<(), Halt> {
+        if let Some(Err(v)) = check {
+            self.audit_violation(v);
+            return Err(Halt);
         }
         Ok(())
     }
@@ -508,10 +438,11 @@ impl<'a, M: Model> PeRuntime<'a, M> {
 
     /// Main optimistic loop. Returns `Ok` when GVT passes the horizon, `Err`
     /// when the run was aborted by a failure on any PE. Dispatches to the
-    /// barriered or incremental GVT protocol resolved at startup; both
-    /// commit the identical event order.
+    /// barriered or incremental GVT protocol the config resolves to (see
+    /// [`EngineConfig::gvt_mode`](crate::config::EngineConfig::gvt_mode));
+    /// both commit the identical event order.
     fn run(&mut self) -> Result<(), Halt> {
-        if self.use_barrier_gvt {
+        if self.config.barriered_gvt() {
             self.run_barriered()
         } else {
             self.run_incremental()
@@ -534,18 +465,11 @@ impl<'a, M: Model> PeRuntime<'a, M> {
                 || (!self.has_executable() && self.idle_polls >= IDLE_GVT_TRIGGER);
             if want_gvt {
                 self.shared.gvt.request_round();
-                let done = self.gvt_round()?;
-                self.since_gvt = 0;
-                self.idle_polls = 0;
-                if done {
+                if self.gvt_round()? {
                     // End-of-run conservation check: every speculative send
                     // must have been cancelled or committed by now.
                     let end_check = self.audit.as_ref().map(|a| a.finish(self.id));
-                    if let Some(Err(v)) = end_check {
-                        self.audit_violation(v);
-                        return Err(Halt);
-                    }
-                    return Ok(());
+                    return self.audit_gate(end_check);
                 }
                 continue;
             }
@@ -646,23 +570,12 @@ impl<'a, M: Model> PeRuntime<'a, M> {
             let epoch = self.shared.gvt.current_epoch();
             if let Some(gvt) = self.shared.gvt.try_close(epoch) {
                 self.inc_open = false;
-                self.shared.gvt.clear_request();
-                if gvt < self.config.end_time.0 {
-                    self.watchdog(gvt)?;
-                }
+                self.lead_close(gvt)?;
                 self.progress_line(gvt);
-            } else if let Some(deadline) = self.config.deadline {
+            } else if self.config.deadline.is_some() {
                 // The round-count watchdog only runs on close; keep the
                 // wall-clock deadline armed while a round is pending.
-                let elapsed = self.start_time.elapsed();
-                if elapsed >= deadline {
-                    self.shared.fail(FailureCause::DeadlineExpired {
-                        gvt: self.shared.gvt.read(),
-                        rounds: self.stall_rounds,
-                        elapsed,
-                    });
-                    return Err(Halt);
-                }
+                self.check_deadline(self.shared.gvt.read())?;
             }
         } else if self.shared.gvt.round_requested() {
             self.shared.gvt.open_round();
@@ -674,9 +587,9 @@ impl<'a, M: Model> PeRuntime<'a, M> {
     /// One incremental-GVT participation: flush, drain the inbox dry, flush
     /// the resulting cancellations, then publish
     /// `min(queue head, fault-held messages, sends since last report)` for
-    /// `epoch` — and piggy-back the per-round maintenance (fossil collection
-    /// at the currently published GVT, scheduler audit, telemetry sample)
-    /// that the barriered protocol does inside its round.
+    /// `epoch` — and piggy-back the per-round maintenance
+    /// ([`end_round`](Self::end_round) at the currently published GVT) that
+    /// the barriered protocol does inside its round.
     fn inc_participate(&mut self, epoch: u64) -> Result<(), Halt> {
         let t0 = self.profiler.begin(Phase::GvtReduce);
         self.flush_out_bufs();
@@ -692,32 +605,8 @@ impl<'a, M: Model> PeRuntime<'a, M> {
         self.shared.local_mins[self.id].store(report, SeqCst);
         self.shared.gvt.publish_report(self.id, report, epoch);
         self.profiler.end(Phase::GvtReduce, t0);
-        self.stats.gvt_rounds += 1;
-        self.round += 1;
-
-        let gvt = self.shared.gvt.read();
-        let t0 = self.profiler.begin(Phase::Fossil);
-        self.fossil_collect(VirtualTime(gvt));
-        self.profiler.end(Phase::Fossil, t0);
-        // Scheduler-integrity audit: queue contents vs the push/pop mirror.
-        // (Unlike the barriered round the machine is not quiescent, but the
-        // mirror is PE-local and the queue is stable between events.)
-        let sched_check = self.audit.as_ref().map(|a| {
-            a.check_scheduler(
-                self.id,
-                self.queue.audit_digest(),
-                self.queue.check_invariants(),
-            )
-        });
-        if let Some(Err(v)) = sched_check {
-            self.audit_violation(v);
-            return Err(Halt);
-        }
-        self.sample_round(gvt);
-        self.since_gvt = 0;
-        self.idle_polls = 0;
         self.inc_round = epoch;
-        Ok(())
+        self.end_round(self.shared.gvt.read())
     }
 
     /// Termination path of the incremental protocol: GVT passed the
@@ -739,11 +628,7 @@ impl<'a, M: Model> PeRuntime<'a, M> {
             std::thread::yield_now();
         }
         let end_check = self.audit.as_ref().map(|a| a.finish(self.id));
-        if let Some(Err(v)) = end_check {
-            self.audit_violation(v);
-            return Err(Halt);
-        }
-        Ok(())
+        self.audit_gate(end_check)
     }
 
     /// Queue one message for a remote PE: count it as sent (GVT's in-flight
@@ -1214,16 +1099,29 @@ impl<'a, M: Model> PeRuntime<'a, M> {
         // computation also replay handle+reverse once to prove exact
         // inversion *before* the real execution commits to anything —
         // unless the probe is disabled (`PDES_AUDIT=fast`).
-        let audit_hash = if self.audit.is_some() {
-            let before = self.audit_lp_fingerprint(li, lp);
-            if self.snapshot_fn.is_none() && self.config.audit_probe {
-                if let Err(v) = self.probe_reverse(li, lp, &entry, before) {
-                    self.audit_violation(v);
-                }
-            }
-            before
-        } else {
+        let audit_hash = if self.audit.is_none() {
             0
+        } else if self.snapshot_fn.is_none() && self.config.audit_probe {
+            let slot = &mut self.slots[li];
+            let payload = self.arena.get_mut(entry.slot);
+            let scratch = &mut self.probe_buf;
+            audit::probe_reverse(
+                self.model,
+                self.id,
+                &mut slot.state,
+                &mut slot.rng,
+                &entry,
+                payload,
+                scratch,
+            )
+            // A failed probe fails the run; this PE halts at the end of the
+            // batch, before the placeholder hash could ever be compared.
+            .unwrap_or_else(|v| {
+                self.audit_violation(v);
+                0
+            })
+        } else {
+            self.audit_lp_fingerprint(li, lp)
         };
 
         self.bf.clear();
@@ -1430,20 +1328,6 @@ impl<'a, M: Model> PeRuntime<'a, M> {
             self.early_antis.len(),
             self.early_antis.keys().take(8).collect::<Vec<_>>(),
         );
-        // Auditor: with the machine quiescent, the scheduler's recomputed
-        // content fingerprint must match the kernel's push/pop/remove
-        // mirror, and its structural invariants must hold.
-        let sched_check = self.audit.as_ref().map(|a| {
-            a.check_scheduler(
-                self.id,
-                self.queue.audit_digest(),
-                self.queue.check_invariants(),
-            )
-        });
-        if let Some(Err(v)) = sched_check {
-            self.audit_violation(v);
-            return Err(Halt);
-        }
         let gvt = self
             .shared
             .local_mins
@@ -1455,32 +1339,56 @@ impl<'a, M: Model> PeRuntime<'a, M> {
             .unwrap_or(u64::MAX);
         if self.id == 0 {
             self.shared.gvt.publish(gvt);
-            self.shared.gvt.clear_request();
-            if gvt < self.config.end_time.0 {
-                self.watchdog(gvt)?;
-            }
+            self.lead_close(gvt)?;
         }
+        self.end_round(gvt)?;
+        self.bwait_timed()?; // B5: flag cleared, fossils reclaimed, round sampled.
+        self.progress_line(gvt);
+        Ok(gvt >= self.config.end_time.0)
+    }
+
+    /// PE 0's half of closing a GVT round under either protocol: withdraw
+    /// the round request and, while work remains, run the liveness watchdog.
+    fn lead_close(&mut self, gvt: u64) -> Result<(), Halt> {
+        self.shared.gvt.clear_request();
+        if gvt < self.config.end_time.0 {
+            self.watchdog(gvt)?;
+        }
+        Ok(())
+    }
+
+    /// Every PE's per-round maintenance once a round's GVT is known, under
+    /// either protocol: commit and fossil-collect below `gvt`, audit the
+    /// scheduler, checkpoint if this round is a boundary, sample telemetry,
+    /// and restart the round-trigger counters.
+    fn end_round(&mut self, gvt: u64) -> Result<(), Halt> {
         self.stats.gvt_rounds += 1;
         self.round += 1;
         let t0 = self.profiler.begin(Phase::Fossil);
         self.fossil_collect(VirtualTime(gvt));
         self.profiler.end(Phase::Fossil, t0);
-        // Checkpoint boundary: every input to this predicate (round counter,
-        // GVT, last-checkpoint GVT, config) is identical on every PE, so all
-        // PEs enter — or skip — the barriered capture protocol together.
-        if self
-            .config
-            .checkpoint_every
-            .is_some_and(|n| n != 0 && self.round.is_multiple_of(n))
-            && gvt > self.last_ckpt_gvt
-            && gvt < self.config.end_time.0
-        {
+        // Auditor: the scheduler's recomputed content fingerprint must match
+        // the kernel's push/pop/remove mirror, and its structural invariants
+        // must hold. (Only a barriered round is quiescent here, but the
+        // mirror is PE-local and the queue is stable between events.)
+        let sched_check = self.audit.as_ref().map(|a| {
+            a.check_scheduler(
+                self.id,
+                self.queue.audit_digest(),
+                self.queue.check_invariants(),
+            )
+        });
+        self.audit_gate(sched_check)?;
+        // Checkpoint boundary (all PEs agree, see `ckpt::due`). Checkpointing
+        // implies the barriered protocol (`EngineConfig::validate`), so an
+        // incremental round never is one.
+        if ckpt::due(self.config, self.round, gvt, self.last_ckpt_gvt) {
             self.checkpoint_round(gvt)?;
         }
         self.sample_round(gvt);
-        self.bwait_timed()?; // B5: flag cleared, fossils reclaimed, round sampled.
-        self.progress_line(gvt);
-        Ok(gvt >= self.config.end_time.0)
+        self.since_gvt = 0;
+        self.idle_polls = 0;
+        Ok(())
     }
 
     /// Capture one snapshot of the committed machine state at `gvt`, in
@@ -1541,12 +1449,13 @@ impl<'a, M: Model> PeRuntime<'a, M> {
             self.early_antis.len(),
         );
 
-        match self.capture_part() {
+        let lps = self.my_lps.iter().zip(&self.slots);
+        let lps = lps.map(|(&lp, slot)| (lp, &slot.state, &slot.rng));
+        let queue = self.queue.as_mut();
+        match ckpt::capture_part(self.model, lps, queue, &self.arena, &self.stats) {
             Ok(part) => lock(&self.shared.ckpt_parts)[self.id] = Some(part),
             Err(e) => {
-                self.shared.fail(FailureCause::Ckpt {
-                    reason: e.to_string(),
-                });
+                self.shared.fail(e.into());
                 return Err(Halt);
             }
         }
@@ -1557,86 +1466,22 @@ impl<'a, M: Model> PeRuntime<'a, M> {
                 .iter_mut()
                 .map(|slot| slot.take().expect("every PE deposited a capture part"))
                 .collect();
-            let snap = Snapshot::assemble(
-                self.config.seed,
-                self.config.end_time,
-                self.model.n_lps(),
+            if let Err(e) = ckpt::write_frame(
+                self.config,
                 gvt,
                 self.round,
                 parts,
-            );
-            match crate::ckpt::write_snapshot(&snap, &self.config.checkpoint_dir) {
-                Ok((path, bytes)) => {
-                    if self
-                        .config
-                        .fault_plan
-                        .as_ref()
-                        .is_some_and(|p| p.poison_ckpt == Some(self.ckpt_writes))
-                    {
-                        // Tear the file as a crashed writer would; readers
-                        // must reject it by checksum.
-                        let _ = crate::ckpt::poison_file(&path);
-                    }
-                    self.ckpt_writes += 1;
-                    self.stats.checkpoints_written += 1;
-                    self.stats.checkpoint_bytes += bytes;
-                    if self.recorder.wants(ObsKind::Checkpoint) {
-                        self.recorder
-                            .record(ObsRecord::kernel(ObsKind::Checkpoint, bytes));
-                    }
-                }
-                Err(e) => {
-                    self.shared.fail(FailureCause::Ckpt {
-                        reason: e.to_string(),
-                    });
-                    return Err(Halt);
-                }
+                &mut self.ckpt_writes,
+                &mut self.stats,
+                &mut self.recorder,
+            ) {
+                self.shared.fail(e.into());
+                return Err(Halt);
             }
         }
         self.bwait()?; // C4: snapshot durable (or the failure aborted us all).
         self.last_ckpt_gvt = gvt;
         Ok(())
-    }
-
-    /// Serialize this PE's slice of the sequential frame: every owned LP's
-    /// model state, RNG position, and audit fingerprint, plus the whole
-    /// pending queue (drained and re-pushed — content unchanged, so the
-    /// auditor's scheduler mirror needs no toggles).
-    fn capture_part(&mut self) -> Result<CkptPart, crate::ckpt::CkptError> {
-        // One scratch writer for every record: each LP state / payload is
-        // serialized into the reused buffer, then copied out exactly-sized.
-        let mut w = CkptWriter::new();
-        let mut lps = Vec::with_capacity(self.my_lps.len());
-        for (li, &lp) in self.my_lps.iter().enumerate() {
-            let slot = &self.slots[li];
-            w.clear();
-            self.model.save_state(lp, &slot.state, &mut w)?;
-            let mut h = AuditHasher::new();
-            self.model.audit_state(lp, &slot.state, &mut h);
-            lps.push(LpRecord {
-                lp,
-                rng_s: slot.rng.state(),
-                rng_count: slot.rng.call_count(),
-                fingerprint: lp_fingerprint(h.finish(), &slot.rng),
-                state: w.as_slice().to_vec(),
-            });
-        }
-        let mut events = Vec::with_capacity(self.queue.len());
-        let mut scratch = Vec::with_capacity(self.queue.len());
-        while let Some(e) = self.queue.pop() {
-            w.clear();
-            self.model.save_payload(self.arena.get(e.slot), &mut w)?;
-            events.push(EventRecord::from_key(&e.key, w.as_slice().to_vec()));
-            scratch.push(e);
-        }
-        for e in scratch {
-            self.queue.push(e);
-        }
-        Ok(CkptPart {
-            lps,
-            events,
-            stats: self.stats.clone(),
-        })
     }
 
     /// Per-round observability hook, run between fossil collection and the
@@ -1696,24 +1541,7 @@ impl<'a, M: Model> PeRuntime<'a, M> {
             cascade_undone,
             cascade_reexec,
         };
-        self.series.push(snap);
-        if let Some(sink) = &self.config.obs.sink {
-            sink.record(&snap);
-            // Liveness pulse for the fleet monitor: PE 0 only, every
-            // heartbeat_every rounds. Committed count is PE-local (the run
-            // total lands on the final `end` heartbeat).
-            let every = self.config.obs.heartbeat_every;
-            if self.id == 0 && every > 0 && self.round.is_multiple_of(every) {
-                sink.heartbeat(&crate::obs::agg::Heartbeat {
-                    pe: 0,
-                    wall_us: snap.wall_us,
-                    round: self.round,
-                    gvt,
-                    committed: self.stats.events_committed,
-                    phase: crate::obs::agg::RunPhase::Run,
-                });
-            }
-        }
+        lifecycle::emit_round(self.config, &mut self.series, snap);
     }
 
     /// Stderr progress report, printed by PE 0 every
@@ -1766,14 +1594,21 @@ impl<'a, M: Model> PeRuntime<'a, M> {
                 self.shared.fail(FailureCause::Stalled {
                     gvt,
                     rounds: self.stall_rounds,
+                    elapsed: Duration::ZERO,
                 });
                 return Err(Halt);
             }
         }
+        self.check_deadline(gvt)
+    }
+
+    /// The wall-clock half of the watchdog: trip once the configured
+    /// [`deadline`](crate::config::EngineConfig::deadline) has expired.
+    fn check_deadline(&self, gvt: u64) -> Result<(), Halt> {
         if let Some(deadline) = self.config.deadline {
             let elapsed = self.start_time.elapsed();
             if elapsed >= deadline {
-                self.shared.fail(FailureCause::DeadlineExpired {
+                self.shared.fail(FailureCause::Stalled {
                     gvt,
                     rounds: self.stall_rounds,
                     elapsed,
@@ -1849,15 +1684,10 @@ impl<'a, M: Model> PeRuntime<'a, M> {
         self.stats.prof = self.profiler.profile().clone();
         self.stats.blame = self.blame.seal();
         PeDiagnostics {
-            pe: self.id,
-            queue_depth: self.queue.len(),
             uncommitted: self.kps.iter().map(|kp| kp.processed.len()).sum(),
-            inbox_depth: 0,
             held_faults: self.faults.as_ref().map_or(0, |f| f.held()),
             deferred_antis: self.early_antis.len(),
-            stats: self.stats.clone(),
-            trace: self.recorder.decode_last(TRACE_TAIL),
-            recorder: self.recorder.summary(self.id),
+            ..PeDiagnostics::capture(self.id, self.queue.len(), &self.stats, &self.recorder)
         }
     }
 }
@@ -1869,6 +1699,8 @@ struct PeReport<O> {
     output: Option<O>,
     series: RoundSeries,
     trace: PacketTrace,
+    /// GVT rounds this PE completed (PE 0's closes the run's heartbeat).
+    round: u64,
 }
 
 /// Run `model` on the optimistic kernel with the default contiguous
@@ -1877,14 +1709,23 @@ pub fn run_parallel<M: Model>(
     model: &M,
     config: &EngineConfig,
 ) -> Result<RunResult<M::Output>, RunError> {
-    // Validate before deriving the mapping: `LinearMapping::new` asserts on
-    // inconsistent counts, and those must surface as `ConfigInvalid` instead.
+    let mapping = default_mapping(model, config)?;
+    run_parallel_mapped(model, config, &mapping)
+}
+
+/// The default contiguous mapping for `model` under `config`. Validates
+/// first: `LinearMapping::new` asserts on inconsistent counts, and those
+/// must surface as `ConfigInvalid` instead.
+fn default_mapping<M: Model>(model: &M, config: &EngineConfig) -> Result<LinearMapping, RunError> {
     config.validate()?;
     if model.n_lps() == 0 {
         return Err(RunError::config("model has no LPs"));
     }
-    let mapping = LinearMapping::new(model.n_lps(), config.n_kps, config.n_pes);
-    run_parallel_mapped(model, config, &mapping)
+    Ok(LinearMapping::new(
+        model.n_lps(),
+        config.n_kps,
+        config.n_pes,
+    ))
 }
 
 /// Run `model` on the optimistic kernel using **state saving** instead of
@@ -1901,18 +1742,8 @@ where
     M: Model,
     M::State: Clone,
 {
-    config.validate()?;
-    if model.n_lps() == 0 {
-        return Err(RunError::config("model has no LPs"));
-    }
-    let mapping = LinearMapping::new(model.n_lps(), config.n_kps, config.n_pes);
-    run_parallel_inner(
-        model,
-        config,
-        &mapping,
-        Some(|s: &M::State, r: &Clcg4| (s.clone(), *r)),
-        None,
-    )
+    let mapping = default_mapping(model, config)?;
+    run_parallel_mapped_state_saving(model, config, &mapping)
 }
 
 /// State-saving variant of [`run_parallel_mapped`].
@@ -1961,11 +1792,7 @@ pub fn run_resumed<M: Model>(
     config: &EngineConfig,
     snap: &Snapshot,
 ) -> Result<RunResult<M::Output>, RunError> {
-    config.validate()?;
-    if model.n_lps() == 0 {
-        return Err(RunError::config("model has no LPs"));
-    }
-    let mapping = LinearMapping::new(model.n_lps(), config.n_kps, config.n_pes);
+    let mapping = default_mapping(model, config)?;
     run_resumed_mapped(model, config, &mapping, snap)
 }
 
@@ -1986,7 +1813,7 @@ fn run_parallel_inner<M: Model>(
     config: &EngineConfig,
     mapping: &dyn Mapping,
     snapshot_fn: SnapshotFn<M>,
-    resume: Option<RestoredRun<M>>,
+    resume: Option<BootFrame<M>>,
 ) -> Result<RunResult<M::Output>, RunError> {
     config.validate()?;
     let n_lps = model.n_lps();
@@ -2013,85 +1840,31 @@ fn run_parallel_inner<M: Model>(
     // JSONL sink before any event executes (see obs::agg). The returned
     // config (metrics_path consumed, sink installed) replaces the caller's
     // for the rest of the run.
-    let instrumented;
-    let config = match crate::obs::agg::instrument(config, n_lps as u64, "parallel")? {
-        Some(cfg) => {
-            instrumented = cfg;
-            &instrumented
-        }
-        None => config,
-    };
+    let config = crate::obs::agg::instrument(config, n_lps as u64, "parallel")?;
+    let config: &EngineConfig = &config;
 
     // ---- Sequential setup phase (like ROSS's startup function). ----
-    // `(gvt, round)` the machine starts from — zero for a fresh run.
-    let resume_meta = resume.as_ref().map(|r| (r.gvt, r.round));
-    let mut rngs: Vec<Clcg4>;
-    let mut states: Vec<Option<M::State>>;
-    let mut init_events: Vec<Event<M::Payload>> = Vec::new();
-    let mut base_stats = EngineStats::default();
+    // Every PE's share of the boot events, under fresh ids from a dedicated
+    // id space (origin pe = n_pes). The payloads enter the PE's arena on its
+    // own thread (the arena is thread-local).
+    let mut inits: Vec<Vec<Event<M::Payload>>> = (0..n_pes).map(|_| Vec::new()).collect();
     let mut init_seq: u64 = 0;
-    match resume {
-        None => {
-            rngs = (0..n_lps)
-                .map(|lp| Clcg4::new(stream_seed(config.seed, lp as u64)))
-                .collect();
-            states = Vec::with_capacity(n_lps as usize);
-            let mut emits: Vec<Emit<M::Payload>> = Vec::new();
-            for lp in 0..n_lps {
-                let mut ctx = InitCtx {
-                    lp,
-                    rng: &mut rngs[lp as usize],
-                    out: &mut emits,
-                };
-                states.push(Some(model.init(lp, &mut ctx)));
-                for emit in emits.drain(..) {
-                    assert!(
-                        emit.dst < n_lps,
-                        "init event to nonexistent LP {}",
-                        emit.dst
-                    );
-                    // Init events come from a dedicated id space (origin pe = n_pes).
-                    let id = EventId::new(n_pes, init_seq);
-                    init_seq += 1;
-                    init_events.push(Event {
-                        id,
-                        key: EventKey {
-                            recv_time: emit.recv_time,
-                            dst: emit.dst,
-                            tie: emit.tie,
-                            src: lp,
-                            send_time: VirtualTime::ZERO,
-                        },
-                        payload: emit.payload,
-                    });
-                }
-            }
-        }
-        Some(restored) => {
-            // Restored frame: LP states and RNG positions come straight from
-            // the snapshot. The frontier events get *fresh* ids from the
-            // init id space — ids never influence committed order, and no
-            // anti-message can target a restored event (everything below the
-            // frame is committed), so the original ids are irrelevant.
-            rngs = Vec::with_capacity(n_lps as usize);
-            states = Vec::with_capacity(n_lps as usize);
-            for (_lp, state, rng) in restored.lps {
-                states.push(Some(state));
-                rngs.push(rng);
-            }
-            for (key, payload) in restored.events {
-                let id = EventId::new(n_pes, init_seq);
-                init_seq += 1;
-                init_events.push(Event { id, key, payload });
-            }
-            base_stats = restored.base_stats;
-        }
-    }
+    let resumed = resume.is_some();
+    let frame = lifecycle::boot(model, config, resume, |key, payload| {
+        let id = EventId::new(n_pes, init_seq);
+        init_seq += 1;
+        inits[flat.pe_of_lp[key.dst as usize]].push(Event { id, key, payload });
+    });
+    let mut lps: Vec<Option<LpSlot<M>>> = frame
+        .lps
+        .into_iter()
+        .map(|(_, state, rng)| Some(LpSlot { state, rng }))
+        .collect();
 
     // Partition LPs, KPs, states and init events among PEs.
     let mut lp_local = vec![u32::MAX; n_lps as usize];
     let mut kp_local = vec![u32::MAX; flat.n_kps as usize];
-    let mut per_pe_lps: Vec<Vec<LpId>> = (0..n_pes).map(|pe| flat.lps_of_pe(pe)).collect();
+    let per_pe_lps: Vec<Vec<LpId>> = (0..n_pes).map(|pe| flat.lps_of_pe(pe)).collect();
     let per_pe_kps: Vec<Vec<KpId>> = (0..n_pes).map(|pe| flat.kps_of_pe(pe)).collect();
     for lps in &per_pe_lps {
         for (i, &lp) in lps.iter().enumerate() {
@@ -2104,12 +1877,11 @@ fn run_parallel_inner<M: Model>(
         }
     }
 
-    let (resume_gvt, resume_round) = resume_meta.unwrap_or((0, 0));
     let shared = Shared::<M::Payload> {
         fabric: CommFabric::new(n_pes),
         sent: AtomicU64::new(0),
         received: AtomicU64::new(0),
-        gvt: IncGvt::new(n_pes, resume_gvt),
+        gvt: IncGvt::new(n_pes, frame.gvt),
         local_mins: (0..n_pes).map(|_| AtomicU64::new(0)).collect(),
         barrier: AbortableBarrier::new(n_pes),
         failure: Mutex::new(None),
@@ -2119,77 +1891,30 @@ fn run_parallel_inner<M: Model>(
         ckpt_parts: Mutex::new((0..n_pes).map(|_| None).collect()),
     };
 
-    // Build each PE's runtime ingredients.
-    struct PeSeed<M: Model> {
-        slots: Vec<LpSlot<M>>,
-        my_lps: Vec<LpId>,
-        n_kps: usize,
-        queue: Box<dyn EventQueue>,
-        /// Init/frontier events owned by this PE; their payloads enter the
-        /// PE's arena on its own thread (the arena is thread-local).
-        init: Vec<Event<M::Payload>>,
-    }
-    let mut seeds: Vec<PeSeed<M>> = Vec::with_capacity(n_pes);
-    for pe in 0..n_pes {
-        let my_lps = std::mem::take(&mut per_pe_lps[pe]);
+    // Deal every PE its LPs and its boot events.
+    let deal = |(my_lps, init): (Vec<LpId>, Vec<Event<M::Payload>>)| {
         let slots: Vec<LpSlot<M>> = my_lps
             .iter()
-            .map(|&lp| LpSlot {
-                state: states[lp as usize].take().expect("LP owned twice"),
-                rng: rngs[lp as usize],
-            })
+            .map(|&lp| lps[lp as usize].take().expect("LP owned twice"))
             .collect();
-        seeds.push(PeSeed {
-            slots,
-            my_lps,
-            n_kps: per_pe_kps[pe].len(),
-            queue: config.scheduler.build(),
-            init: Vec::new(),
-        });
-    }
-    // Partition the init events, folding them into the auditor's scheduler
-    // mirror so it starts consistent with the queue contents.
-    let mut init_xors = vec![0u64; n_pes];
-    for ev in init_events {
-        let pe = flat.pe_of_lp[ev.key.dst as usize];
-        if config.audit {
-            init_xors[pe] ^= event_fingerprint(ev.id, &ev.key);
-        }
-        seeds[pe].init.push(ev);
-    }
+        (my_lps, slots, init, config.scheduler.build())
+    };
+    let seeds: Vec<_> = per_pe_lps.into_iter().zip(inits).map(deal).collect();
 
     // ---- Parallel phase. ----
     let start = Instant::now();
-    if config.obs.heartbeat_every > 0 {
-        if let Some(sink) = &config.obs.sink {
-            sink.heartbeat(&crate::obs::agg::Heartbeat {
-                pe: 0,
-                wall_us: 0,
-                round: resume_round,
-                gvt: resume_gvt,
-                committed: base_stats.events_committed,
-                phase: crate::obs::agg::RunPhase::Run,
-            });
-        }
-    }
-    let results: Mutex<Vec<Option<PeReport<M::Output>>>> =
-        Mutex::new((0..n_pes).map(|_| None).collect());
-
-    let use_barrier_gvt = config.barriered_gvt();
     let arena_capacity = config
         .arena_slots
         .unwrap_or(EventArena::<M::Payload>::DEFAULT_SLOTS);
-    std::thread::scope(|scope| {
-        for (pe, mut seed) in seeds.into_iter().enumerate() {
-            let shared = &shared;
-            let flat = &flat;
-            let lp_local = &lp_local;
-            let kp_local = &kp_local;
-            let results = &results;
-            let init_xors = &init_xors;
-            let base_stats = &base_stats;
-            scope.spawn(move || {
-                let init = std::mem::take(&mut seed.init);
+    // A PE that dies outside its own panic containment reports nothing
+    // (`None`, surfaced as `WorkerLost`) instead of panicking the join.
+    let mut reports: Vec<Option<PeReport<M::Output>>> = std::thread::scope(|scope| {
+        let mut handles = Vec::with_capacity(n_pes);
+        for (pe, (my_lps, slots, init, queue)) in seeds.into_iter().enumerate() {
+            let (shared, flat, base_stats) = (&shared, &flat, &frame.base_stats);
+            let (lp_local, kp_local) = (&lp_local, &kp_local);
+            let n_kps = per_pe_kps[pe].len();
+            handles.push(scope.spawn(move || {
                 let mut rt = PeRuntime {
                     id: pe,
                     model,
@@ -2198,10 +1923,10 @@ fn run_parallel_inner<M: Model>(
                     lp_local,
                     kp_local,
                     shared,
-                    slots: seed.slots,
-                    my_lps: seed.my_lps,
-                    kps: (0..seed.n_kps).map(|_| Kp::new()).collect(),
-                    queue: seed.queue,
+                    slots,
+                    my_lps,
+                    kps: (0..n_kps).map(|_| Kp::new()).collect(),
+                    queue,
                     arena: EventArena::new(arena_capacity),
                     next_seq: 0,
                     emit_buf: Vec::new(),
@@ -2240,12 +1965,9 @@ fn run_parallel_inner<M: Model>(
                     send_min: u64::MAX,
                     inc_round: 0,
                     inc_open: false,
-                    use_barrier_gvt,
-                    audit: config.audit.then(|| {
-                        let mut a = AuditState::new(config.audit_drop_anti);
-                        a.sched_xor = init_xors[pe];
-                        a
-                    }),
+                    audit: config
+                        .audit
+                        .then(|| AuditState::new(config.audit_drop_anti)),
                     probe_buf: Vec::new(),
                     seen_pos: FastSet::default(),
                     seen_anti: FastSet::default(),
@@ -2253,27 +1975,28 @@ fn run_parallel_inner<M: Model>(
                     start_time: start,
                     prev_gvt: u64::MAX,
                     stall_rounds: 0,
-                    round: resume_round,
-                    last_ckpt_gvt: resume_gvt,
+                    round: frame.round,
+                    last_ckpt_gvt: frame.gvt,
                     ckpt_writes: 0,
                     profiler: config.obs.build_profiler(),
-                    tracer: config.obs.build_tracer(seed.n_kps),
+                    tracer: config.obs.build_tracer(n_kps),
                     hop_buf: Vec::new(),
                     blame: config.obs.build_blame(pe),
                 };
-                if pe == 0 && resume_meta.is_some() && rt.recorder.wants(ObsKind::Recovery) {
+                if pe == 0 && resumed && rt.recorder.wants(ObsKind::Recovery) {
                     rt.recorder
-                        .record(ObsRecord::kernel(ObsKind::Recovery, resume_round));
+                        .record(ObsRecord::kernel(ObsKind::Recovery, frame.round));
                 }
                 // Contain panics from model handlers and kernel invariants:
                 // record the failure, abort the barrier so every sibling
                 // unwinds, and still report diagnostics for this PE.
                 let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<M::Output, Halt> {
-                    // Land the init/frontier payloads in this PE's arena.
-                    // No auditor toggles: the mirror was pre-seeded with
-                    // `init_xors` above.
+                    // Land the boot events in this PE's arena and queue.
                     for ev in init {
                         let slot = rt.insert_arena(ev.payload)?;
+                        if let Some(a) = rt.audit.as_mut() {
+                            a.toggle_sched(ev.id, &ev.key);
+                        }
                         rt.queue.push(QueueEntry {
                             key: ev.key,
                             id: ev.id,
@@ -2294,111 +2017,79 @@ fn run_parallel_inner<M: Model>(
                         None
                     }
                 };
-                lock(results)[pe] = Some(PeReport {
+                PeReport {
                     diag: rt.diagnostics(),
                     trace: std::mem::replace(&mut rt.tracer, PacketTracer::new(0, 0))
                         .finish(output.is_some()),
                     output,
                     series: std::mem::replace(&mut rt.series, RoundSeries::new(0)),
-                });
-            });
+                    round: rt.round,
+                }
+            }));
         }
+        handles.into_iter().map(|h| h.join().ok()).collect()
     });
     let wall = start.elapsed();
-    if let Some(sink) = &config.obs.sink {
-        sink.flush();
+
+    for (pe, report) in reports.iter_mut().enumerate() {
+        if let Some(report) = report {
+            report.diag.inbox_depth = shared.fabric.inbox_depth(pe) as usize;
+        }
     }
+    let round = match reports.first() {
+        Some(Some(pe0)) => pe0.round,
+        _ => frame.round,
+    };
+    let gvt = shared.gvt.read();
+    let reported = reports.iter().flatten();
+    let committed = reported.map(|r| r.diag.stats.events_committed).sum();
 
-    let failure = lock(&shared.failure).take();
-    let reports = results
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-        .into_iter()
-        .enumerate()
-        .map(|(pe, slot)| {
-            slot.map(|mut report| {
-                report.diag.inbox_depth = shared.fabric.inbox_depth(pe) as usize;
-                report
-            })
-        })
-        .collect::<Vec<_>>();
-
-    if let Some(cause) = failure {
-        let mut diagnostics = RunDiagnostics {
-            gvt: shared.gvt.read(),
+    let outcome = if let Some(cause) = lock(&shared.failure).take() {
+        let pes = reports.into_iter().enumerate().map(|(pe, report)| {
+            let lost = PeDiagnostics {
+                pe,
+                ..Default::default()
+            };
+            report.map_or(lost, |r| r.diag)
+        });
+        Err(cause.into_error(RunDiagnostics {
+            gvt,
             // ORDER: SeqCst (×2) — post-mortem diagnostics after all PE
             // threads joined; any ordering is correct, match the writers.
             sent: shared.sent.load(SeqCst),
             received: shared.received.load(SeqCst),
-            pes: Vec::with_capacity(n_pes),
+            pes: pes.collect(),
+        }))
+    } else {
+        // Merge per-PE results in PE order (model outputs must merge
+        // commutatively for kernel-equality; see `Merge` docs).
+        let mut result = RunResult {
+            output: M::Output::default(),
+            stats: EngineStats::default(),
+            telemetry: Telemetry::default(),
         };
-        for (pe, slot) in reports.into_iter().enumerate() {
-            diagnostics.pes.push(match slot {
-                Some(report) => report.diag,
-                None => PeDiagnostics {
-                    pe,
-                    ..Default::default()
-                },
-            });
-        }
-        if config.obs.heartbeat_every > 0 {
-            if let Some(sink) = &config.obs.sink {
-                let committed: u64 = diagnostics
-                    .pes
-                    .iter()
-                    .map(|d| d.stats.events_committed)
-                    .sum();
-                sink.heartbeat(&crate::obs::agg::Heartbeat {
-                    pe: 0,
-                    wall_us: wall.as_micros() as u64,
-                    round: 0,
-                    gvt: diagnostics.gvt,
-                    committed,
-                    phase: crate::obs::agg::RunPhase::Fail,
-                });
-                sink.flush();
+        let mut lost = None;
+        for (pe, report) in reports.into_iter().enumerate() {
+            match report {
+                Some(PeReport {
+                    diag,
+                    output: Some(out),
+                    series,
+                    trace,
+                    ..
+                }) => {
+                    result.stats.merge(&diag.stats);
+                    result.telemetry.absorb(series, diag.recorder);
+                    result.telemetry.absorb_trace(trace);
+                    result.output.merge(out);
+                }
+                _ => lost = lost.or(Some(pe)),
             }
         }
-        return Err(cause.into_error(diagnostics));
-    }
-
-    // Merge per-PE results in PE order (model outputs must merge
-    // commutatively for kernel-equality; see `Merge` docs).
-    let mut stats = EngineStats::default();
-    let mut output = M::Output::default();
-    let mut telemetry = Telemetry::default();
-    for (pe, slot) in reports.into_iter().enumerate() {
-        let report = match slot {
-            Some(r) => r,
-            None => return Err(RunError::WorkerLost { pe }),
-        };
-        let out = match report.output {
-            Some(o) => o,
-            None => return Err(RunError::WorkerLost { pe }),
-        };
-        stats.merge(&report.diag.stats);
-        telemetry.absorb(report.series, report.diag.recorder);
-        telemetry.absorb_trace(report.trace);
-        output.merge(out);
-    }
-    telemetry.seal();
-    stats.wall_time = wall;
-    if config.obs.heartbeat_every > 0 {
-        if let Some(sink) = &config.obs.sink {
-            sink.heartbeat(&crate::obs::agg::Heartbeat {
-                pe: 0,
-                wall_us: wall.as_micros() as u64,
-                round: 0,
-                gvt: shared.gvt.read(),
-                committed: stats.events_committed,
-                phase: crate::obs::agg::RunPhase::End,
-            });
-            sink.flush();
+        match lost {
+            None => Ok(result),
+            Some(pe) => Err(RunError::WorkerLost { pe }),
         }
-    }
-    Ok(RunResult {
-        output,
-        stats,
-        telemetry,
-    })
+    };
+    lifecycle::teardown(config, wall, round, gvt, committed, outcome)
 }

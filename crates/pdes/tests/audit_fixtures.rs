@@ -100,6 +100,43 @@ fn parallel_auditor_catches_bad_reverse() {
     assert!(v.lp.is_some() && v.key.is_some());
 }
 
+/// The reverse-replay probe is one function shared by both kernels, so the
+/// same defect must produce the same violation — check, LP, event key and
+/// fingerprint text — whichever kernel (and PE count) executes it. Only the
+/// detecting PE and the event id (per-kernel id spaces) may differ.
+#[test]
+fn both_kernels_report_the_same_bad_reverse_violation() {
+    let cfg = bad_cfg().with_audit(true).with_kps(4);
+    let runs = [
+        ("sequential", run_sequential(&BadReverse, &cfg)),
+        (
+            "parallel/1",
+            run_parallel(&BadReverse, &cfg.clone().with_pes(1)),
+        ),
+        (
+            "parallel/2",
+            run_parallel(&BadReverse, &cfg.clone().with_pes(2)),
+        ),
+    ];
+    let violations: Vec<_> = runs
+        .iter()
+        .map(|(name, run)| {
+            let err = run.as_ref().unwrap_err();
+            err.audit_violation()
+                .unwrap_or_else(|| panic!("{name}: expected AuditFailed, got {err}"))
+        })
+        .collect();
+    let oracle = violations[0];
+    assert_eq!(oracle.check, AuditCheck::ReverseReplay);
+    assert!(oracle.detail.contains("expected 0x"), "{}", oracle.detail);
+    for ((name, _), v) in runs.iter().zip(&violations) {
+        assert_eq!(v.check, oracle.check, "{name}");
+        assert_eq!(v.lp, oracle.lp, "{name}");
+        assert_eq!(v.key, oracle.key, "{name}");
+        assert_eq!(v.detail, oracle.detail, "{name}");
+    }
+}
+
 #[test]
 fn bad_reverse_runs_to_completion_with_audit_off() {
     // Audit off: nothing calls reverse in these configurations, so the

@@ -6,9 +6,7 @@ cd "$(dirname "$0")/.."
 
 # Stage bookkeeping for the closing summary line.
 stages=0
-skipped=()
 stage() { stages=$((stages + 1)); echo "== $* =="; }
-skip() { echo "SKIPPED: $2"; skipped+=("$1"); }
 
 stage "cargo fmt --check"
 cargo fmt --check
@@ -43,6 +41,10 @@ cargo build --release -p bench --bin lint_atomics
 ./target/release/lint_atomics
 
 stage "mcheck: exhaustive concurrency model checking (--cfg mcheck)"
+# mcheck + lint_atomics above are the concurrency gate. Miri and TSan are
+# not stages: they need nightly components an offline box cannot install,
+# and a permanently skipped stage is not a gate (one-line commands for a
+# box that has them: DESIGN.md, "Runtime reversibility auditor").
 # The in-tree model checker (pdes::mcheck) explores every bounded
 # interleaving + weak-memory read choice of the lock-free protocols: SPSC
 # ring transfer (incl. index wraparound), spill/drain conservation,
@@ -81,39 +83,6 @@ print(f"mcheck.json: {len(models)} models complete "
       f"{sum(m['transitions'] for m in models)} transitions); "
       f"{len(muts)}/5 mutations killed")
 EOF
-fi
-
-stage "miri: unit tests on comm/pool/scheduler/sync/gvt (nightly-gated)"
-# The SPSC comm fabric is the only unsafe code in the tree; run its unit
-# tests (plus the pool and scheduler modules it leans on) under Miri when a
-# nightly toolchain with the component is installed. CI boxes without
-# nightly record the stage as SKIPPED rather than failing.
-if command -v rustup >/dev/null 2>&1 \
-    && rustup toolchain list 2>/dev/null | grep -q '^nightly' \
-    && rustup component list --toolchain nightly 2>/dev/null \
-        | grep -q 'miri.*(installed)'; then
-    # -Zmiri-disable-isolation: the tests read the system clock via
-    # std::time::Instant (watchdog plumbing).
-    MIRIFLAGS="-Zmiri-disable-isolation" \
-        cargo +nightly miri test -p pdes --lib -- \
-        comm:: pool:: scheduler:: sync:: gvt::
-else
-    skip miri "nightly toolchain with miri not installed"
-fi
-
-stage "thread sanitizer: comm stress test (nightly-gated)"
-# TSan needs -Zsanitizer=thread plus a rebuilt std (-Zbuild-std), which in
-# turn needs the rust-src component. Gate on all of it; SKIPPED otherwise.
-if command -v rustup >/dev/null 2>&1 \
-    && rustup toolchain list 2>/dev/null | grep -q '^nightly' \
-    && rustup component list --toolchain nightly 2>/dev/null \
-        | grep -q 'rust-src.*(installed)'; then
-    host="$(rustc -vV | sed -n 's/^host: //p')"
-    RUSTFLAGS="-Zsanitizer=thread" \
-        cargo +nightly test -p pdes --lib --target "$host" \
-        -Zbuild-std -- comm::tests::concurrent_producer_consumer_stress
-else
-    skip tsan "nightly toolchain with rust-src not installed"
 fi
 
 stage "repo benchmark: build + contract tests (benchmark/)"
@@ -242,8 +211,19 @@ print(f"mini-farm: {r['runs']} runs ended, {r['committed']} committed, "
 EOF
 fi
 
-if [ ${#skipped[@]} -eq 0 ]; then
-    echo "CI gate passed: $stages stages, none skipped."
-else
-    echo "CI gate passed: $stages stages, SKIPPED: ${skipped[*]}."
-fi
+stage "line counts per area (the ROADMAP's aim-2 figures, from the tree)"
+# `wc -l` over the .rs files of each area: physical lines, comments and
+# in-file unit tests included.
+lines() { find "$@" -name '*.rs' -print0 | xargs -0 cat | wc -l; }
+obs=$(lines crates/pdes/src/obs crates/pdes/src/obs.rs)
+printf '%-34s %6d\n' \
+    "crates/pdes/src kernel (non-obs)" $(($(lines crates/pdes/src) - obs)) \
+    "  of which sequential.rs" "$(lines crates/pdes/src/sequential.rs)" \
+    "  of which parallel.rs" "$(lines crates/pdes/src/parallel.rs)" \
+    "crates/pdes/src obs*" "$obs" \
+    "crates/{topo,hotpotato}/src" "$(lines crates/topo/src crates/hotpotato/src)" \
+    "crates/bench" "$(lines crates/bench)" \
+    "benchmark/src" "$(lines benchmark/src)" \
+    "tests (workspace + crates/*/tests)" "$(lines tests crates/*/tests)"
+
+echo "CI gate passed: $stages stages."

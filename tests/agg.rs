@@ -10,8 +10,8 @@ use std::path::{Path, PathBuf};
 use hotpotato::{simulate_parallel, simulate_sequential, HotPotatoConfig, HotPotatoModel};
 use pdes::obs::json;
 use pdes::{
-    EngineConfig, FleetMonitor, HealthDetector, HealthPolicy, ObsConfig, RoundSnapshot, RunIngest,
-    RunManifest, RunState, StreamTail, VirtualTime,
+    EngineConfig, FaultPlan, FleetMonitor, HealthDetector, HealthPolicy, MemorySink, ObsConfig,
+    RoundSnapshot, RunError, RunIngest, RunManifest, RunPhase, RunState, StreamTail, VirtualTime,
 };
 
 fn scratch(tag: &str) -> PathBuf {
@@ -389,4 +389,99 @@ fn sequential_kernel_registers_too() {
         res.stats.events_committed
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A failing sequential run goes through the same teardown as a parallel
+/// one: the stream closes with a flushed `fail` heartbeat, so the hub sees
+/// the run as failed (at the round it died in), not as merely silent.
+#[test]
+fn failed_sequential_run_closes_the_stream_with_fail() {
+    let dir = scratch("e2e-seq-fail");
+    let run_dir = dir.join("seq-00");
+    // A checkpoint directory *under a regular file*: the first snapshot
+    // write (round 1) fails with an I/O error mid-run.
+    let blocker = dir.join("blocker");
+    std::fs::write(&blocker, "not a directory").unwrap();
+    let model = HotPotatoModel::torus(HotPotatoConfig::new(8, 24).with_injectors(0.4));
+    let engine = EngineConfig::new(model.end_time())
+        .with_seed(7)
+        .with_gvt_interval(64)
+        .with_checkpoint_every(1)
+        .with_checkpoint_dir(blocker.join("ckpt"))
+        .with_obs(ObsConfig::default().with_metrics_path(run_dir.join("metrics.jsonl")));
+    let err = simulate_sequential(&model, &engine).unwrap_err();
+    assert!(matches!(err, RunError::Checkpoint { .. }), "got {err}");
+
+    let metrics = std::fs::read_to_string(run_dir.join("metrics.jsonl")).unwrap();
+    json::validate_jsonl(&metrics).unwrap();
+    assert!(metrics
+        .lines()
+        .last()
+        .unwrap()
+        .contains("\"state\":\"fail\""));
+
+    let mut monitor = FleetMonitor::new(HealthPolicy::default());
+    monitor.add_run_dir(&run_dir, 0).unwrap();
+    monitor.poll(0).unwrap();
+    let (_, ingest) = monitor.runs().next().unwrap();
+    assert_eq!(ingest.state(), RunState::Failed);
+    let last = ingest.last_heartbeat().unwrap();
+    assert_eq!((last.round, last.committed), (1, 64));
+    let failed: Vec<_> = monitor
+        .events()
+        .iter()
+        .filter(|ev| ev.detector == HealthDetector::RunFailed)
+        .collect();
+    assert_eq!(failed.len(), 1);
+    assert_eq!(
+        failed[0].value, 1,
+        "the event reports the heartbeat's round"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The closing heartbeat reports the round the run actually reached — on
+/// both kernels, for `end` and for `fail` — not a hard-coded 0.
+#[test]
+fn closing_heartbeat_carries_the_last_round() {
+    let model = HotPotatoModel::torus(HotPotatoConfig::new(8, 24).with_injectors(0.4));
+    let engine = |sink: &std::sync::Arc<MemorySink>| {
+        EngineConfig::new(model.end_time())
+            .with_seed(7)
+            .with_pes(2)
+            .with_kps(8)
+            .with_gvt_interval(64)
+            .with_obs(ObsConfig::default().with_sink(sink.clone()))
+    };
+    let max_round = |sink: &MemorySink, pe: Option<usize>| {
+        let snaps = sink.snapshots();
+        let of_pe = snaps.iter().filter(|s| pe.is_none_or(|pe| s.pe == pe));
+        of_pe.map(|s| s.round).max().unwrap()
+    };
+
+    for kernel in ["sequential", "parallel"] {
+        let sink = std::sync::Arc::new(MemorySink::new(1 << 20));
+        match kernel {
+            "sequential" => simulate_sequential(&model, &engine(&sink)).map(drop),
+            _ => simulate_parallel(&model, &engine(&sink)).map(drop),
+        }
+        .unwrap();
+        let hbs = sink.heartbeats();
+        assert_eq!(hbs[0].phase, RunPhase::Run, "{kernel}");
+        let last = hbs.last().unwrap();
+        assert_eq!(last.phase, RunPhase::End, "{kernel}");
+        assert!(last.round > 1, "{kernel}: fixture too short");
+        assert_eq!(last.round, max_round(&sink, None), "{kernel}");
+    }
+
+    // A parallel run killed mid-flight: `fail` carries PE 0's last round.
+    let sink = std::sync::Arc::new(MemorySink::new(1 << 20));
+    let plan = FaultPlan::new(1).with_kill(1, 900);
+    let err = simulate_parallel(&model, &engine(&sink).with_faults(plan)).unwrap_err();
+    assert!(matches!(err, RunError::PePanic { .. }), "got {err}");
+    let hbs = sink.heartbeats();
+    let last = hbs.last().unwrap();
+    assert_eq!(last.phase, RunPhase::Fail);
+    assert!(last.round > 0);
+    assert_eq!(last.round, max_round(&sink, Some(0)));
 }

@@ -106,6 +106,16 @@ fn snapshots_are_kernel_portable() {
     seq_cfg.end_time = m.end_time();
     let seq = pdes::run_sequential_resumed(&m, &seq_cfg, &snap).unwrap();
     assert_eq!(seq.output, oracle.output, "seq snapshot → seq resume");
+
+    // Vice versa: a frame captured by a 2-PE parallel run resumes on the
+    // sequential kernel.
+    let par_dir = ckpt_dir("portable-par");
+    let full = simulate_parallel(&m, &engine(13, &par_dir).with_pes(2).with_kps(16)).unwrap();
+    assert!(full.stats.checkpoints_written > 0);
+    let par_snap = read_snapshot(&list_snapshots(&par_dir)[0]).unwrap();
+    let seq = pdes::run_sequential_resumed(&m, &seq_cfg, &par_snap).unwrap();
+    assert_eq!(seq.output, oracle.output, "parallel snapshot → seq resume");
+    let _ = std::fs::remove_dir_all(&par_dir);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -207,6 +217,40 @@ fn all_snapshots_corrupt_forces_cold_restart() {
         // fallback path is then equivalent to `poisoned_snapshot_falls_back`.
         assert_eq!(report.resumed_rounds.len(), 1, "{report:?}");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The poison fault fires on the sequential kernel too (same shared write
+/// step as PE 0): the run itself is unharmed, and the one snapshot it leaves
+/// behind is torn, so `read_snapshot` must reject it by checksum.
+#[test]
+fn sequential_poisoned_snapshot_is_rejected_by_checksum() {
+    let m = model(6, 20);
+    let dir = ckpt_dir("seq-poison");
+    let mut clean_cfg = engine(61, &dir);
+    clean_cfg.checkpoint_every = None;
+    let clean = simulate_sequential(&m, &clean_cfg).unwrap();
+
+    // One interval boundary in the whole run => exactly one snapshot (so the
+    // poisoned first write is not pruned by a later one).
+    let cfg = engine(61, &dir)
+        .with_gvt_interval(clean.stats.events_committed / 2 + 1)
+        .with_checkpoint_every(1)
+        .with_faults(FaultPlan::new(1).with_poison_ckpt(0));
+    let run = simulate_sequential(&m, &cfg).unwrap();
+    assert_eq!(
+        run.output, clean.output,
+        "poisoning a file perturbed the run"
+    );
+    assert_eq!(run.stats.checkpoints_written, 1);
+
+    let snaps = list_snapshots(&dir);
+    assert_eq!(snaps.len(), 1);
+    let err = read_snapshot(&snaps[0]).unwrap_err();
+    assert!(
+        err.to_string().contains("checksum mismatch"),
+        "torn snapshot not rejected by checksum: {err}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
