@@ -59,10 +59,15 @@ pub struct EngineConfig {
     /// sooner (fewer rollbacks); larger batches amortize ring traffic.
     /// Committed output is identical at every setting.
     pub comm_batch: Option<usize>,
-    /// Optimism throttle: if set, a PE will not execute events more than
-    /// this many ticks past the last computed GVT. Bounds rollback depth
-    /// (and memory) at the cost of more frequent GVT rounds. `None` =
-    /// unbounded optimism (classic Time Warp).
+    /// Optimism throttle, as a *ceiling*: if set, a PE never executes events
+    /// more than this many ticks past the last computed GVT, and the kernel
+    /// narrows each PE's own window below it — toward one
+    /// [`VirtualTime::STEP`] — while that PE's rollbacks stay above a few
+    /// percent of what it processes, then widens it again slowly over calm
+    /// rounds. Bounds rollback depth (and memory) at the cost of more
+    /// frequent GVT rounds. A ceiling of one step or less is never narrowed.
+    /// `None` = unbounded optimism (classic Time Warp), never throttled.
+    /// Committed output is identical at every setting.
     pub max_lookahead: Option<u64>,
     /// Deterministic fault injection at the inter-PE inbox boundary (see
     /// [`fault`](crate::fault)). `None` = no chaos. Ignored by the
@@ -158,7 +163,8 @@ impl EngineConfig {
         }
     }
 
-    /// Throttle optimism to `ticks` past GVT (see
+    /// Throttle optimism to at most `ticks` past GVT — a ceiling; the kernel
+    /// narrows toward one step under sustained rollback (see
     /// [`max_lookahead`](Self::max_lookahead)).
     pub fn with_lookahead(mut self, ticks: u64) -> Self {
         self.max_lookahead = Some(ticks);

@@ -128,8 +128,8 @@ impl<P> Event<P> {
 /// deletion keeps tombstoned entries in its storage long after annihilation
 /// has freed (and possibly reused) their slots; comparing through the arena
 /// would then order a tombstone by some *other* event's key and corrupt the
-/// heap. Sixteen bytes of key riding along is the price of that safety — the
-/// payload itself never moves.
+/// heap. Forty bytes of key and id riding along (the entry is 48 with its
+/// slot) is the price of that safety — the payload itself never moves.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct QueueEntry {
     /// Processing-order key (frozen copy).
@@ -213,6 +213,14 @@ mod tests {
         assert!(EventId::try_new(EventId::PE_LIMIT - 1, EventId::SEQ_LIMIT - 1).is_some());
         assert!(EventId::try_new(EventId::PE_LIMIT, 0).is_none());
         assert!(EventId::try_new(0, EventId::SEQ_LIMIT).is_none());
+    }
+
+    /// The sizes the scheduler and KP docs quote.
+    #[test]
+    fn handle_sizes_are_as_documented() {
+        assert_eq!(std::mem::size_of::<EventKey>(), 32);
+        assert_eq!(std::mem::size_of::<QueueEntry>(), 48);
+        assert_eq!(std::mem::size_of::<ChildRef>(), 40);
     }
 
     #[test]

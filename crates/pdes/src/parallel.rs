@@ -9,9 +9,8 @@
 //!   receiver pair, carrying whole batches of messages (the shared-memory
 //!   analogue of ROSS handing ownership of an event's memory to the
 //!   destination PE). Remote sends accumulate in per-destination buffers
-//!   flushed at batch/GVT boundaries; per-PE [`pool`](crate::pool)s recycle
-//!   child-reference vectors and message batches so the hot path stays off
-//!   the global allocator.
+//!   flushed at batch/GVT boundaries; a per-PE [`pool`](crate::pool) recycles
+//!   message batches so the hot path stays off the global allocator.
 //! * **Optimistic execution** — each PE greedily executes its locally
 //!   minimal pending event. A *straggler* (an arriving event in a KP's past)
 //!   triggers a **primary rollback**: the KP's processed list is rewound by
@@ -120,7 +119,7 @@ use crate::event::{
 use crate::fault::FaultState;
 use crate::gvt::IncGvt;
 use crate::hash::{FastMap, FastSet};
-use crate::kp::{Kp, Processed};
+use crate::kp::{Kp, Processed, Undone};
 use crate::lifecycle;
 use crate::mapping::{FlatMapping, LinearMapping, Mapping};
 use crate::model::{Emit, EventCtx, Merge, Model, ReverseCtx};
@@ -142,6 +141,41 @@ const IDLE_GVT_TRIGGER: u64 = 64;
 /// Consecutive no-progress polls of the GVT settle phase (neither counter
 /// moved) before a PE gives up and falls through to the barriered retry.
 const SETTLE_POLLS: u32 = 0;
+
+/// Optimism-window controller, run by every PE at the end of each GVT round
+/// on its own counters (see [`next_window`]). A round that rolled back more
+/// than one event per `NARROW_ONE_IN` processed halves the window; any
+/// other round widens it by `floor / WIDEN_DIV`. Chosen by a sweep on the
+/// every-hop-remote torus (DESIGN.md, "Optimism window"): anywhere in
+/// 1/8–1/64 × 32–128 performs alike, 1/4 × 8 regrows into the echo.
+const NARROW_ONE_IN: u64 = 32;
+const WIDEN_DIV: u64 = 128;
+
+/// The next optimism window (ticks past GVT) given the current one, its
+/// bounds, and what this PE did since the last round: multiplicative
+/// decrease under rollback echo, slow additive recovery otherwise — the
+/// Korniss et al. moving-window constraint with the width driven by the
+/// rollback ratio. `floor` is `min(ceiling, VirtualTime::STEP)`: one step
+/// of lookahead is what a synchronous network always has, so narrowing
+/// below it only idles the PE. A round that processed nothing carries no
+/// evidence and holds the window.
+fn next_window(
+    current: u64,
+    floor: u64,
+    ceiling: u64,
+    processed_delta: u64,
+    rolled_back_delta: u64,
+) -> u64 {
+    debug_assert!(floor <= ceiling);
+    let next = if processed_delta == 0 {
+        current
+    } else if rolled_back_delta.saturating_mul(NARROW_ONE_IN) > processed_delta {
+        current / 2
+    } else {
+        current.saturating_add((floor / WIDEN_DIV).max(1))
+    };
+    next.clamp(floor, ceiling)
+}
 
 /// Lock a mutex, recovering the guard if a panicking thread poisoned it (the
 /// kernel's shared state stays consistent across a contained panic — we only
@@ -294,19 +328,34 @@ struct PeRuntime<'a, M: Model> {
     /// Recycles message-batch vectors: drained batches come back empty and
     /// are reused for outgoing batches.
     msg_pool: VecPool<Remote<M::Payload>>,
-    /// Recycles the per-event `children` vectors across
-    /// commit/fossil-collection and rollback.
-    child_pool: VecPool<ChildRef>,
+    /// Children of the event [`execute`](Self::execute) is running, held
+    /// here until the event is recorded on its KP: enqueueing a child can
+    /// start a rollback cascade on this PE, and whenever one runs a KP's
+    /// child log must hold the children of its *recorded* events only.
+    child_buf: Vec<ChildRef>,
+    /// Children of the records [`rollback`](Self::rollback) has popped and
+    /// is still cancelling, as a stack: cancelling a local child re-enters
+    /// `rollback`, and the nested frame pushes and truncates above the
+    /// outer frame's entries.
+    cancel_stack: Vec<ChildRef>,
     /// Scratch buffer reused by the fault-filtered drain path.
     pending_buf: Vec<Remote<M::Payload>>,
     /// Scratch batch headers reused by the zero-copy drain path (whole
     /// batches land here straight from the rings; messages are applied in
     /// place and the emptied vectors recycle through `msg_pool`).
     batch_bufs: Vec<Batch<M::Payload>>,
-    /// Scratch vectors reused by batched fossil collection (committed
-    /// events per KP, and their arena slots freed in one run).
-    fossil_scratch: Vec<Processed<M::State>>,
+    /// Scratch vector reused by batched fossil collection (each KP's
+    /// committed arena slots, freed in one run).
     fossil_slots: Vec<SlotRef>,
+    /// Effective optimism window in ticks past GVT: starts at the
+    /// [`max_lookahead`](EngineConfig::max_lookahead) ceiling and is moved
+    /// by [`next_window`] at every GVT round. `None` = unbounded. PE-local
+    /// and never checkpointed: it steers speculation only, so committed
+    /// output cannot depend on it.
+    window: Option<u64>,
+    /// `(events_processed, events_rolled_back)` when the last round ended;
+    /// the controller reads the deltas since.
+    window_marks: (u64, u64),
     /// Minimum receive time (ticks) over every remote message sent since
     /// this PE's last incremental-GVT report — the "messages possibly still
     /// in flight" half of the two-cut reduction. Reset to `u64::MAX` at
@@ -379,12 +428,12 @@ impl<'a, M: Model> PeRuntime<'a, M> {
     }
 
     /// True if the pending queue's head is executable: before the horizon
-    /// and, when optimism is throttled, within the lookahead window past
-    /// the last computed GVT.
+    /// and, when optimism is throttled, within this PE's current window
+    /// past the last computed GVT.
     #[inline]
     fn has_executable(&mut self) -> bool {
         match self.queue.peek_key() {
-            Some(k) if k.recv_time < self.config.end_time => match self.config.max_lookahead {
+            Some(k) if k.recv_time < self.config.end_time => match self.window {
                 Some(window) => {
                     let gvt = self.shared.gvt.read();
                     k.recv_time.0 <= gvt.saturating_add(window)
@@ -656,6 +705,20 @@ impl<'a, M: Model> PeRuntime<'a, M> {
         }
     }
 
+    /// Take an empty message batch from the pool, flight-recording whether
+    /// it was recycled or freshly allocated.
+    fn get_batch(&mut self) -> Batch<M::Payload> {
+        let misses_before = self.msg_pool.misses;
+        let batch = self.msg_pool.get();
+        let kind = if self.msg_pool.misses > misses_before {
+            ObsKind::PoolMiss
+        } else {
+            ObsKind::PoolHit
+        };
+        obs!(self, kind, EventId(0), crate::obs::NO_KEY);
+        batch
+    }
+
     /// Publish the send buffer for `pe` into its ring (one release-store on
     /// the fast path).
     fn flush_to(&mut self, pe: PeId) {
@@ -663,7 +726,8 @@ impl<'a, M: Model> PeRuntime<'a, M> {
             return;
         }
         let t0 = self.profiler.begin(Phase::CommFlush);
-        let batch = std::mem::replace(&mut self.out_bufs[pe], self.msg_pool.get());
+        let fresh = self.get_batch();
+        let batch = std::mem::replace(&mut self.out_bufs[pe], fresh);
         self.stats.batches_flushed += 1;
         let len = batch.len() as u64;
         self.stats.batched_messages += len;
@@ -797,7 +861,7 @@ impl<'a, M: Model> PeRuntime<'a, M> {
                 }
                 _ => pending,
             };
-            pending = self.msg_pool.get();
+            pending = self.get_batch();
             for msg in deliver.drain(..) {
                 if outcome.is_ok() {
                     outcome = self.apply_remote(msg);
@@ -937,25 +1001,38 @@ impl<'a, M: Model> PeRuntime<'a, M> {
     fn rollback(&mut self, kp_idx: usize, bound: EventKey, annihilate: Option<EventId>) {
         let mut target_found = annihilate.is_none();
         let mut undone = 0u64;
-        while let Some(mut p) = self.kps[kp_idx].pop_if_at_or_after(bound) {
-            // Erase the hops this execution traced *before* cancelling its
-            // children — a local cancellation can recurse into this KP, and
-            // the tracer's unwind must mirror the pop order exactly.
+        loop {
+            // The pop lifts the record's children off the KP's log onto the
+            // cancel stack *before* any of them is cancelled. A local
+            // cancellation re-enters `rollback` — for another KP, whose own
+            // cancellations come back to this one — so while frames nest,
+            // every KP's log must end with the children of its newest
+            // listed record, and each frame's children sit above `base`.
+            let base = self.cancel_stack.len();
+            let Some(Undone {
+                record: p,
+                snapshot,
+                audit_hash,
+            }) = self.kps[kp_idx].pop_if_at_or_after(bound, &mut self.cancel_stack)
+            else {
+                break;
+            };
+            // For the same reason the hops this execution traced are erased
+            // first: the tracer's unwind must mirror the pop order exactly.
             self.tracer.unwind(kp_idx, p.n_trace);
             // Cancel everything this execution scheduled.
             obs!(self, ObsKind::RollbackPop, p.id, p.key);
-            let mut children = std::mem::take(&mut p.children);
-            for child in children.drain(..) {
-                self.cancel(child);
+            for i in base..self.cancel_stack.len() {
+                self.cancel(self.cancel_stack[i]);
             }
-            self.child_pool.put(children);
+            self.cancel_stack.truncate(base);
             // Undo the execution: restore the pre-event snapshot (state
             // saving) or reverse-execute and un-step the RNG (reverse
             // computation). The payload stays in its arena slot throughout.
             let lp = p.key.dst;
             let li = self.local_lp_idx(lp);
             let t0 = self.profiler.begin(Phase::Reverse);
-            if let Some((state, rng)) = p.snapshot.take() {
+            if let Some((state, rng)) = snapshot {
                 self.slots[li].state = state;
                 self.slots[li].rng = rng;
             } else {
@@ -967,14 +1044,14 @@ impl<'a, M: Model> PeRuntime<'a, M> {
                 let slot = &mut self.slots[li];
                 let payload = self.arena.get_mut(p.slot);
                 self.model.reverse(&mut slot.state, payload, &rctx);
-                self.slots[li].rng.reverse_n(p.rng_calls);
+                self.slots[li].rng.reverse_n(u64::from(p.rng_calls));
             }
             self.profiler.end(Phase::Reverse, t0);
             // Auditor: the undo above must land the LP back on the exact
             // fingerprint recorded before this event executed.
-            if self.audit.is_some() {
+            if let Some(expected) = audit_hash {
                 let h = self.audit_lp_fingerprint(li, lp);
-                if h != p.audit_hash {
+                if h != expected {
                     self.audit_violation(AuditViolation {
                         pe: self.id,
                         lp: Some(lp),
@@ -982,9 +1059,8 @@ impl<'a, M: Model> PeRuntime<'a, M> {
                         key: Some(p.key),
                         check: AuditCheck::RollbackHash,
                         detail: format!(
-                            "rollback restored LP fingerprint {h:#018x}, expected {:#018x} \
-                             (this execution was not undone exactly)",
-                            p.audit_hash
+                            "rollback restored LP fingerprint {h:#018x}, expected {expected:#018x} \
+                             (this execution was not undone exactly)"
                         ),
                     });
                 }
@@ -1100,7 +1176,7 @@ impl<'a, M: Model> PeRuntime<'a, M> {
         // inversion *before* the real execution commits to anything —
         // unless the probe is disabled (`PDES_AUDIT=fast`).
         let audit_hash = if self.audit.is_none() {
-            0
+            None
         } else if self.snapshot_fn.is_none() && self.config.audit_probe {
             let slot = &mut self.slots[li];
             let payload = self.arena.get_mut(entry.slot);
@@ -1116,12 +1192,15 @@ impl<'a, M: Model> PeRuntime<'a, M> {
             )
             // A failed probe fails the run; this PE halts at the end of the
             // batch, before the placeholder hash could ever be compared.
-            .unwrap_or_else(|v| {
-                self.audit_violation(v);
-                0
-            })
+            .map_or_else(
+                |v| {
+                    self.audit_violation(v);
+                    Some(0)
+                },
+                Some,
+            )
         } else {
-            self.audit_lp_fingerprint(li, lp)
+            Some(self.audit_lp_fingerprint(li, lp))
         };
 
         self.bf.clear();
@@ -1151,16 +1230,15 @@ impl<'a, M: Model> PeRuntime<'a, M> {
             self.model.handle(&mut slot.state, payload, &mut ctx);
         }
         self.profiler.end(Phase::Execute, t0);
-        let rng_calls = self.slots[li].rng.call_count() - rng_before;
+        let rng_calls = u32::try_from(self.slots[li].rng.call_count() - rng_before)
+            .expect("one handler call made 2^32 RNG draws");
 
-        let misses_before = self.child_pool.misses;
-        let mut children = self.child_pool.get_with_capacity(emits.len());
-        let pool_kind = if self.child_pool.misses > misses_before {
-            ObsKind::PoolMiss
-        } else {
-            ObsKind::PoolHit
-        };
-        obs!(self, pool_kind, entry.id, entry.key);
+        // The children stay in this PE-owned buffer until the event is
+        // recorded below; `execute` itself is never re-entered. (Taken as a
+        // local like `emits`: pushing through `self` across the dispatch
+        // calls measured a few percent slower.)
+        let mut children = std::mem::take(&mut self.child_buf);
+        debug_assert!(children.is_empty());
         let mut halted = Ok(());
         for emit in emits.drain(..) {
             if halted.is_err() {
@@ -1210,17 +1288,22 @@ impl<'a, M: Model> PeRuntime<'a, M> {
         let n_trace = self
             .tracer
             .record_exec(kp_idx, &entry.key, &mut self.hop_buf);
-        self.kps[kp_idx].record(Processed {
-            key: entry.key,
-            id: entry.id,
-            slot: entry.slot,
-            bf: self.bf,
-            rng_calls,
-            children,
+        self.kps[kp_idx].record(
+            Processed {
+                key: entry.key,
+                id: entry.id,
+                slot: entry.slot,
+                bf: self.bf,
+                rng_calls,
+                n_children: 0, // counted by `record`
+                n_trace,
+            },
+            &children,
             snapshot,
-            n_trace,
             audit_hash,
-        });
+        );
+        children.clear();
+        self.child_buf = children;
         self.stats.events_processed += 1;
         // One emptiness check on the rollback-free hot path; counts the
         // re-execution if a cascade previously undid this event.
@@ -1364,6 +1447,16 @@ impl<'a, M: Model> PeRuntime<'a, M> {
     fn end_round(&mut self, gvt: u64) -> Result<(), Halt> {
         self.stats.gvt_rounds += 1;
         self.round += 1;
+        if let (Some(window), Some(ceiling)) = (self.window, self.config.max_lookahead) {
+            let (processed, rolled_back) = self.window_marks;
+            self.window = Some(next_window(
+                window,
+                ceiling.min(VirtualTime::STEP),
+                ceiling,
+                self.stats.events_processed - processed,
+                self.stats.events_rolled_back - rolled_back,
+            ));
+        }
         let t0 = self.profiler.begin(Phase::Fossil);
         self.fossil_collect(VirtualTime(gvt));
         self.profiler.end(Phase::Fossil, t0);
@@ -1388,6 +1481,9 @@ impl<'a, M: Model> PeRuntime<'a, M> {
         self.sample_round(gvt);
         self.since_gvt = 0;
         self.idle_polls = 0;
+        // Marked last, so a checkpoint capture's own unwinding (above) is
+        // not read as rollback echo by the next round's controller.
+        self.window_marks = (self.stats.events_processed, self.stats.events_rolled_back);
         Ok(())
     }
 
@@ -1525,15 +1621,15 @@ impl<'a, M: Model> PeRuntime<'a, M> {
             // ORDER: SeqCst — matches the publication store; telemetry only.
             lvt: self.shared.local_mins[self.id].load(SeqCst),
             queue_depth: self.queue.len() as u64,
-            uncommitted: self.kps.iter().map(|kp| kp.processed.len() as u64).sum(),
+            uncommitted: self.kps.iter().map(|kp| kp.uncommitted() as u64).sum(),
             inbox_depth: self.shared.fabric.inbox_depth(self.id),
             ring_full_stalls: self.stats.ring_full_stalls,
             events_committed: self.stats.events_committed,
             events_processed: self.stats.events_processed,
             events_rolled_back: self.stats.events_rolled_back,
             rollbacks: self.stats.total_rollbacks(),
-            pool_hits: self.msg_pool.hits + self.child_pool.hits,
-            pool_misses: self.msg_pool.misses + self.child_pool.misses,
+            pool_hits: self.msg_pool.hits,
+            pool_misses: self.msg_pool.misses,
             phase_ns: self.profiler.cumulative_ns(),
             checkpoints_written: self.stats.checkpoints_written,
             checkpoint_bytes: self.stats.checkpoint_bytes,
@@ -1619,48 +1715,38 @@ impl<'a, M: Model> PeRuntime<'a, M> {
         Ok(())
     }
 
-    /// Commit and reclaim all processed events older than `horizon`,
-    /// batched per KP: each KP's committed run is moved into a scratch
-    /// vector in one pass and its arena slots are freed in one run —
-    /// per-round cost, not per-event. The committed events' child vectors
-    /// go back to the pool instead of the allocator — the other half of the
-    /// recycling loop started in [`execute`](Self::execute).
+    /// Commit and reclaim all processed events older than `horizon`, per KP
+    /// and in place: each committed record is read where it lies on the KP's
+    /// list, its arena slot joins a run freed in one batch, and the KP then
+    /// drops the whole committed prefix (records and side logs) at once.
     fn fossil_collect(&mut self, horizon: VirtualTime) {
-        let mut batch = std::mem::take(&mut self.fossil_scratch);
         let mut slots = std::mem::take(&mut self.fossil_slots);
         for ki in 0..self.kps.len() {
-            debug_assert!(batch.is_empty() && slots.is_empty());
-            self.kps[ki].fossil_collect_into(horizon, &mut batch);
-            for p in batch.drain(..) {
+            debug_assert!(slots.is_empty());
+            let committed_children = self.kps[ki].fossil_collect(horizon, |p| {
                 obs!(self, ObsKind::Fossil, p.id, p.key);
                 self.model
                     .commit(self.arena.get(p.slot), p.key.dst, p.key.recv_time);
                 slots.push(p.slot);
-                // Fossil collection pops oldest-first, mirroring the
+                // Fossil collection walks oldest-first, mirroring the
                 // tracer's per-KP deque: publish this event's hops to the
                 // committed lineage.
                 self.tracer.commit(ki, p.n_trace);
                 self.stats.events_committed += 1;
                 self.stats.fossils_collected += 1;
-                // Auditor: committing an event commits its children; each
-                // must still be outstanding (never cancelled).
-                let mut viol = None;
-                if let Some(a) = self.audit.as_mut() {
-                    for child in &p.children {
-                        if let Err(v) = a.on_commit_child(self.id, child) {
-                            viol = Some(v);
-                            break;
-                        }
-                    }
-                }
-                if let Some(v) = viol {
-                    self.audit_violation(v);
-                }
-                self.child_pool.put(p.children);
+            });
+            // Auditor: committing an event commits its children; each must
+            // still be outstanding (never cancelled).
+            let viol = self.audit.as_mut().and_then(|a| {
+                committed_children
+                    .into_iter()
+                    .find_map(|child| a.on_commit_child(self.id, &child).err())
+            });
+            if let Some(v) = viol {
+                self.audit_violation(v);
             }
             self.arena.free_batch(&mut slots);
         }
-        self.fossil_scratch = batch;
         self.fossil_slots = slots;
     }
 
@@ -1678,13 +1764,13 @@ impl<'a, M: Model> PeRuntime<'a, M> {
     /// pools' hit/miss counters into the stats — this runs on both the
     /// success and failure paths, so the counters reach the merged totals.
     fn diagnostics(&mut self) -> PeDiagnostics {
-        self.stats.pool_hits = self.msg_pool.hits + self.child_pool.hits;
-        self.stats.pool_misses = self.msg_pool.misses + self.child_pool.misses;
+        self.stats.pool_hits = self.msg_pool.hits;
+        self.stats.pool_misses = self.msg_pool.misses;
         self.stats.arena_peak_slots = self.arena.peak() as u64;
         self.stats.prof = self.profiler.profile().clone();
         self.stats.blame = self.blame.seal();
         PeDiagnostics {
-            uncommitted: self.kps.iter().map(|kp| kp.processed.len()).sum(),
+            uncommitted: self.kps.iter().map(Kp::uncommitted).sum(),
             held_faults: self.faults.as_ref().map_or(0, |f| f.held()),
             deferred_antis: self.early_antis.len(),
             ..PeDiagnostics::capture(self.id, self.queue.len(), &self.stats, &self.recorder)
@@ -1915,6 +2001,13 @@ fn run_parallel_inner<M: Model>(
             let (lp_local, kp_local) = (&lp_local, &kp_local);
             let n_kps = per_pe_kps[pe].len();
             handles.push(scope.spawn(move || {
+                // The snapshot's accumulated counters ride on PE 0, so the
+                // end-of-run merge describes the whole logical run.
+                let stats = if pe == 0 {
+                    base_stats.clone()
+                } else {
+                    EngineStats::default()
+                };
                 let mut rt = PeRuntime {
                     id: pe,
                     model,
@@ -1931,13 +2024,6 @@ fn run_parallel_inner<M: Model>(
                     next_seq: 0,
                     emit_buf: Vec::new(),
                     bf: Bitfield::default(),
-                    // The snapshot's accumulated counters ride on PE 0, so
-                    // the end-of-run merge describes the whole logical run.
-                    stats: if pe == 0 {
-                        base_stats.clone()
-                    } else {
-                        EngineStats::default()
-                    },
                     since_gvt: 0,
                     idle_polls: 0,
                     recorder: config.obs.build_recorder(),
@@ -1950,18 +2036,14 @@ fn run_parallel_inner<M: Model>(
                     out_bufs: (0..n_pes).map(|_| Vec::new()).collect(),
                     comm_flush: config.comm_batch.unwrap_or(usize::MAX),
                     msg_pool: VecPool::new(),
-                    // One children vec is live per processed-uncommitted
-                    // event, so the whole optimistic window's worth comes
-                    // back in a burst at each fossil round. The default
-                    // 256-buffer cap dropped most of that burst and turned
-                    // ~40% of child-vec gets into fresh allocations; retain
-                    // the full window instead (vecs are 1-4 ChildRefs, so
-                    // even 8k of them is ~100s of KB per PE).
-                    child_pool: VecPool::with_max_retained(8192),
+                    child_buf: Vec::new(),
+                    cancel_stack: Vec::new(),
                     pending_buf: Vec::new(),
                     batch_bufs: Vec::new(),
-                    fossil_scratch: Vec::new(),
                     fossil_slots: Vec::new(),
+                    window: config.max_lookahead,
+                    window_marks: (stats.events_processed, stats.events_rolled_back),
+                    stats,
                     send_min: u64::MAX,
                     inc_round: 0,
                     inc_open: false,
@@ -2092,4 +2174,64 @@ fn run_parallel_inner<M: Model>(
         }
     };
     lifecycle::teardown(config, wall, round, gvt, committed, outcome)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const STEP: u64 = VirtualTime::STEP;
+
+    #[test]
+    fn window_halves_when_rollbacks_exceed_the_threshold() {
+        let over = 1000 / NARROW_ONE_IN + 1;
+        assert_eq!(next_window(8 * STEP, STEP, 8 * STEP, 1000, over), 4 * STEP);
+        assert_eq!(next_window(4 * STEP, STEP, 8 * STEP, 1000, 1000), 2 * STEP);
+        // More undone than processed (a deep rollback into earlier rounds).
+        assert_eq!(next_window(4 * STEP, STEP, 8 * STEP, 10, 500), 2 * STEP);
+    }
+
+    #[test]
+    fn window_recovers_slowly_over_calm_rounds() {
+        let grow = STEP / WIDEN_DIV;
+        assert_eq!(next_window(STEP, STEP, 8 * STEP, 1000, 0), STEP + grow);
+        // At the threshold exactly is still calm.
+        let at = 40 * NARROW_ONE_IN;
+        assert_eq!(next_window(STEP, STEP, 8 * STEP, at, 40), STEP + grow);
+        // A halving from 4 steps to 2 takes WIDEN_DIV calm rounds per step
+        // to win back.
+        let mut w = 2 * STEP;
+        let mut rounds = 0;
+        while w < 4 * STEP {
+            w = next_window(w, STEP, 8 * STEP, 1000, 0);
+            rounds += 1;
+        }
+        assert_eq!(rounds, (2 * STEP).div_ceil(grow));
+        assert!((2 * WIDEN_DIV..=2 * WIDEN_DIV + 1).contains(&rounds));
+    }
+
+    #[test]
+    fn window_holds_on_a_round_without_evidence() {
+        assert_eq!(next_window(3 * STEP, STEP, 8 * STEP, 0, 0), 3 * STEP);
+        // Undone work with nothing processed (a pure-rollback round) is
+        // not a ratio either.
+        assert_eq!(next_window(3 * STEP, STEP, 8 * STEP, 0, 50), 3 * STEP);
+    }
+
+    #[test]
+    fn window_stays_between_floor_and_ceiling() {
+        assert_eq!(next_window(STEP + 1, STEP, 8 * STEP, 100, 100), STEP);
+        assert_eq!(next_window(STEP, STEP, 8 * STEP, 100, 100), STEP);
+        assert_eq!(next_window(8 * STEP - 1, STEP, 8 * STEP, 100, 0), 8 * STEP);
+        assert_eq!(next_window(8 * STEP, STEP, 8 * STEP, 100, 0), 8 * STEP);
+        // A ceiling at or below one step leaves no room: the controller is
+        // inert whatever the signal (floor == ceiling).
+        for rolled_back in [0, 100] {
+            assert_eq!(next_window(STEP, STEP, STEP, 100, rolled_back), STEP);
+            assert_eq!(next_window(7, 7, 7, 100, rolled_back), 7);
+            assert_eq!(next_window(0, 0, 0, 100, rolled_back), 0);
+        }
+        // The widening step never rounds down to a standstill.
+        assert_eq!(next_window(3, 3, 100, 100, 0), 4);
+    }
 }

@@ -3,7 +3,7 @@
 //! Each PE owns one pending-event set. Time Warp needs three operations
 //! beyond an ordinary priority queue: peek (for GVT minima), and *removal of
 //! an arbitrary pending event* (anti-message annihilation before the event
-//! executes). Two interchangeable implementations are provided:
+//! executes). Three interchangeable implementations are provided:
 //!
 //! * [`HeapQueue`] — binary heap with lazy deletion; the default.
 //! * [`SplayQueue`] — top-down splay tree (what ROSS ships); exact deletion.
@@ -12,7 +12,7 @@
 //! Since the arena split (`pdes::arena`), schedulers order small
 //! [`QueueEntry`] records — a frozen `(EventKey, EventId)` plus the arena
 //! [`SlotRef`](crate::arena::SlotRef) holding the payload — instead of
-//! owning whole events. Splay rotations and calendar-bucket shifts move 40
+//! owning whole events. Splay rotations and calendar-bucket shifts move 48
 //! bytes of plain-old-data; payloads stay put in the arena.
 //!
 //! All implementations commit the identical event order (the total
@@ -135,7 +135,7 @@ mod tests {
         keys
     }
 
-    fn both() -> Vec<Box<dyn EventQueue>> {
+    fn all_queues() -> Vec<Box<dyn EventQueue>> {
         vec![
             SchedulerKind::Heap.build(),
             SchedulerKind::Splay.build(),
@@ -145,7 +145,7 @@ mod tests {
 
     #[test]
     fn pops_in_key_order() {
-        for mut q in both() {
+        for mut q in all_queues() {
             for &(t, dst, tie) in &[(5, 0, 0), (1, 0, 0), (3, 2, 0), (3, 1, 0), (3, 1, 7)] {
                 q.push(ev(t, dst, tie));
             }
@@ -159,7 +159,7 @@ mod tests {
 
     #[test]
     fn remove_pending_event_returns_its_slot() {
-        for mut q in both() {
+        for mut q in all_queues() {
             let a = ev(1, 0, 0);
             let b = ev(2, 0, 0);
             let c = ev(3, 0, 0);
@@ -176,7 +176,7 @@ mod tests {
 
     #[test]
     fn remove_min_then_peek_skips_it() {
-        for mut q in both() {
+        for mut q in all_queues() {
             let a = ev(1, 0, 0);
             let b = ev(2, 0, 0);
             q.push(a);
@@ -188,7 +188,7 @@ mod tests {
 
     #[test]
     fn empty_behaviour() {
-        for mut q in both() {
+        for mut q in all_queues() {
             assert!(q.is_empty());
             assert_eq!(q.pop().map(|e| e.key), None);
             assert_eq!(q.peek_key(), None);

@@ -272,6 +272,165 @@ fn state_saving_survives_forced_straggler() {
     assert!(ss.stats.primary_rollbacks >= 1, "stats: {:?}", ss.stats);
 }
 
+/// Rollback cascades that stay on one PE, forced deterministically.
+///
+/// Four LPs under the default linear mapping with 4 KPs on 2 PEs: LP 0
+/// (KP 0) and LP 1 (KP 1) share PE 0, LP 2 sits on PE 1, LP 3 is idle. LP 1
+/// self-ticks far into virtual time and pokes LP 0 on every tick; with
+/// `echo`, LP 0 answers every poke with two echoes back to LP 1. LP 2's one
+/// event holds its handler (a gate on LP 1's progress, not a sleep) until
+/// PE 0 has executed all of that, then sends `Late` into LP 0's past; `Late`
+/// in turn sends `Hit` into LP 1's past.
+struct LocalCascade {
+    echo: bool,
+    /// `Some` on the parallel run: LP 1's latest tick time, which LP 2
+    /// waits on. `None` for the sequential oracle, which executes LP 2's
+    /// event first and must not wait.
+    gate: Option<std::sync::atomic::AtomicU64>,
+}
+
+const CASCADE_END: u64 = 40_000;
+
+#[derive(Clone, Debug)]
+enum Cascade {
+    Tick,
+    Poke,
+    Echo,
+    Stall,
+    Late,
+    Hit,
+}
+
+impl Model for LocalCascade {
+    type State = LpState;
+    type Payload = (Cascade, u64);
+    type Output = Out;
+
+    fn n_lps(&self) -> u32 {
+        4
+    }
+
+    fn init(&self, lp: LpId, ctx: &mut InitCtx<'_, Self::Payload>) -> LpState {
+        match lp {
+            1 => ctx.schedule_at(1, VirtualTime(100), 1, (Cascade::Tick, 0)),
+            2 => ctx.schedule_at(2, VirtualTime(5), 2, (Cascade::Stall, 0)),
+            _ => {}
+        }
+        LpState::default()
+    }
+
+    fn handle(
+        &self,
+        state: &mut LpState,
+        (kind, saved): &mut Self::Payload,
+        ctx: &mut EventCtx<'_, Self::Payload>,
+    ) {
+        use std::sync::atomic::Ordering::SeqCst;
+        let draw = ctx.rng().integer(0, 9);
+        *saved = draw;
+        state.hops += 1;
+        state.weight += draw;
+        let now = ctx.now().0;
+        match kind {
+            Cascade::Tick => {
+                if let Some(gate) = &self.gate {
+                    gate.fetch_max(now, SeqCst);
+                }
+                ctx.schedule(0, 5, now, (Cascade::Poke, 0));
+                if now < CASCADE_END {
+                    ctx.schedule_self(10, 1, (Cascade::Tick, 0));
+                }
+            }
+            Cascade::Poke if self.echo => {
+                ctx.schedule(1, 3, 2 * now, (Cascade::Echo, 0));
+                ctx.schedule(1, 4, 2 * now + 1, (Cascade::Echo, 0));
+            }
+            Cascade::Stall => {
+                if let Some(gate) = &self.gate {
+                    // Released by LP 1's last tick; the bound only keeps a
+                    // broken kernel from hanging the suite.
+                    let t0 = std::time::Instant::now();
+                    while gate.load(SeqCst) < CASCADE_END && t0.elapsed().as_secs() < 20 {
+                        std::thread::yield_now();
+                    }
+                }
+                ctx.schedule(0, 500, 3, (Cascade::Late, 0));
+            }
+            Cascade::Late => ctx.schedule(1, 100, 4, (Cascade::Hit, 0)),
+            Cascade::Poke | Cascade::Echo | Cascade::Hit => {}
+        }
+    }
+
+    fn reverse(&self, state: &mut LpState, (_, saved): &mut Self::Payload, _ctx: &ReverseCtx) {
+        state.hops -= 1;
+        state.weight -= *saved;
+    }
+
+    fn finish(&self, _lp: LpId, state: &LpState, out: &mut Out) {
+        out.hops += state.hops;
+        out.weight += state.weight;
+    }
+}
+
+/// The 2-PE run of [`LocalCascade`], already checked against the sequential
+/// oracle; auditor on (so fossil collection walks every committed record's
+/// slice of the flat child log against the conservation ledger), no GVT
+/// round before the straggler lands.
+fn run_local_cascade(echo: bool) -> RunResult<Out> {
+    let cfg = EngineConfig::new(VirtualTime(CASCADE_END + 1_000))
+        .with_seed(7)
+        .with_audit(true)
+        .with_gvt_interval(1_000_000)
+        .with_batch(1_000_000);
+    let seq = run_sequential(&LocalCascade { echo, gate: None }, &cfg).unwrap();
+    let gated = LocalCascade {
+        echo,
+        gate: Some(std::sync::atomic::AtomicU64::new(0)),
+    };
+    let par = run_parallel(&gated, &cfg.with_pes(2).with_kps(4)).unwrap();
+    assert_eq!(par.output, seq.output);
+    assert_eq!(par.stats.events_committed, seq.stats.events_committed);
+    par
+}
+
+/// A rollback that re-enters the kernel's rollback path while it is still
+/// unwinding. `Late` rolls KP 0 back; every poke it pops cancels two echoes
+/// that KP 1 has already processed, so each first echo opens a secondary
+/// rollback of KP 1 *inside* KP 0's. The nested frame pops ticks whose
+/// pokes are addressed to KP 0, the KP mid-rollback. They are always found
+/// pending — a child's timestamp is strictly later than its parent's
+/// (`schedule` rejects zero delay), so the outer frame, popping newest
+/// first, has already requeued them — which is the only form of re-entry a
+/// key-ordered list admits. When the nested frame returns, the outer one
+/// must go on to its *second* echo: its children have to survive on the
+/// cancel stack beneath the nested frame's.
+#[test]
+fn nested_rollback_cancels_into_the_kp_that_is_mid_rollback() {
+    let par = run_local_cascade(true);
+    let s = &par.stats;
+    assert_eq!(s.primary_rollbacks, 1, "stats: {s:?}");
+    // About one nested frame per undone poke (~4000); far fewer would mean
+    // the gate failed to hold the straggler back.
+    assert!(s.secondary_rollbacks > 1_000, "stats: {s:?}");
+    assert!(s.events_rolled_back > 6_000, "stats: {s:?}");
+}
+
+/// A rollback started from inside `execute`. `Late` arrives from PE 1 and
+/// rolls KP 0 back (first primary rollback, from the inbox). Executing it
+/// then schedules `Hit` into the past of KP 1 *on the same PE*: the second
+/// primary rollback can only come from `execute`'s own child loop, while
+/// `Late` is not yet on KP 0's list. It pops every tick of KP 1, each
+/// cancelling a poke addressed to KP 0 — the executing event's KP, whose
+/// record, child-log entries and trace hops must not exist yet.
+#[test]
+fn rollback_from_inside_execute_reaches_the_executing_events_kp() {
+    let par = run_local_cascade(false);
+    let s = &par.stats;
+    assert_eq!(s.primary_rollbacks, 2, "stats: {s:?}");
+    assert_eq!(s.secondary_rollbacks, 0, "stats: {s:?}");
+    assert!(s.events_rolled_back > 4_000, "stats: {s:?}");
+}
+
 #[test]
 fn rollback_histogram_accounts_for_all_rolled_back_events() {
     let par = run_parallel(&storm(), &config().with_pes(4).with_kps(16)).unwrap();
