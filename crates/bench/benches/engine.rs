@@ -8,7 +8,7 @@
 
 use bench::bench_time;
 use hotpotato::{HotPotatoConfig, HotPotatoModel};
-use pdes::{run_parallel_mapped, EngineConfig, LinearMapping};
+use pdes::{EngineConfig, LinearMapping, Run};
 use topo::BlockMapping;
 
 fn model() -> HotPotatoModel<topo::Torus> {
@@ -22,19 +22,15 @@ fn main() {
 
     println!("# kernel_8x8_60steps");
     bench_time("sequential", samples, || {
-        hotpotato::simulate_sequential(&m, &engine).unwrap().output
+        m.run(&engine).sequential().go().unwrap().output
     });
     {
         let cfg = engine.clone().with_pes(1).with_kps(16);
-        bench_time("timewarp_1pe", samples, || {
-            hotpotato::simulate_parallel(&m, &cfg).unwrap().output
-        });
+        bench_time("timewarp_1pe", samples, || m.run(&cfg).go().unwrap().output);
     }
     {
         let cfg = engine.clone().with_pes(2).with_kps(16);
-        bench_time("timewarp_2pe", samples, || {
-            hotpotato::simulate_parallel(&m, &cfg).unwrap().output
-        });
+        bench_time("timewarp_2pe", samples, || m.run(&cfg).go().unwrap().output);
     }
 
     println!("# mapping_8x8_2pe");
@@ -42,14 +38,14 @@ fn main() {
         let cfg = engine.clone().with_pes(2).with_kps(16);
         let mapping = BlockMapping::new(8, 16, 2);
         bench_time("block", samples, || {
-            run_parallel_mapped(&m, &cfg, &mapping).unwrap().output
+            Run::new(&m, &cfg).mapping(&mapping).go().unwrap().output
         });
     }
     {
         let cfg = engine.clone().with_pes(2).with_kps(16);
         let mapping = LinearMapping::new(64, 16, 2);
         bench_time("linear", samples, || {
-            run_parallel_mapped(&m, &cfg, &mapping).unwrap().output
+            Run::new(&m, &cfg).mapping(&mapping).go().unwrap().output
         });
     }
 }

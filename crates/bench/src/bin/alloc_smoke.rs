@@ -16,7 +16,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use hotpotato::{simulate_parallel, HotPotatoConfig, HotPotatoModel};
+use hotpotato::{HotPotatoConfig, HotPotatoModel};
 use pdes::{EngineConfig, ObsConfig};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -63,11 +63,11 @@ fn main() {
 
     // Warm-up: faults the binary's lazy init (thread stacks, allocator
     // arenas) so the measured run sees only the engine's own behavior.
-    let warm = simulate_parallel(&model, &cfg).expect("warm-up run failed");
+    let warm = model.run(&cfg).go().expect("warm-up run failed");
     std::hint::black_box(&warm.output);
 
     let before = ALLOCS.load(Ordering::Relaxed);
-    let run = simulate_parallel(&model, &cfg).expect("measured run failed");
+    let run = model.run(&cfg).go().expect("measured run failed");
     let allocs = ALLOCS.load(Ordering::Relaxed) - before;
 
     println!(

@@ -30,7 +30,7 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use bench::check;
-use hotpotato::{simulate_parallel, simulate_sequential, HotPotatoConfig, HotPotatoModel};
+use hotpotato::{HotPotatoConfig, HotPotatoModel};
 use pdes::obs::json;
 use pdes::{
     EngineConfig, FleetMonitor, HealthDetector, HealthPolicy, ObsConfig, RoundSnapshot,
@@ -131,11 +131,8 @@ fn farm(o: Opts) {
                             .with_metrics_path(dir.join("metrics.jsonl"))
                             .with_model_label(format!("hotpotato-{n}x{n}", n = o.n)),
                     );
-                let r = check(if o.pes <= 1 {
-                    simulate_sequential(&model, &engine)
-                } else {
-                    simulate_parallel(&model, &engine)
-                });
+                let run = model.run(&engine);
+                let r = check(if o.pes <= 1 { run.sequential() } else { run }.go());
                 std::hint::black_box(r.output);
                 done.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
             });

@@ -32,7 +32,7 @@
 
 use std::sync::Arc;
 
-use hotpotato::{simulate_parallel, HotPotatoConfig, HotPotatoModel};
+use hotpotato::{HotPotatoConfig, HotPotatoModel};
 use pdes::obs::{chrome, json};
 use pdes::{EngineConfig, EngineStats, JsonlSink, ObsConfig, Phase, Telemetry, TRACE_UNBOUNDED};
 
@@ -100,7 +100,7 @@ fn main() {
         .with_lookahead(model.natural_lookahead())
         .with_obs(obs);
 
-    let run = simulate_parallel(&model, &engine).expect("parallel run failed");
+    let run = model.run(&engine).go().expect("parallel run failed");
     print_summary(&run.telemetry, &run.stats.to_string());
 
     if let Some(path) = &trace_path {

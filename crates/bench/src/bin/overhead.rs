@@ -28,7 +28,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bench::{best_wall, median_of, noise_floor_pct, overhead_pct_best};
-use hotpotato::{simulate_parallel, simulate_sequential, HotPotatoConfig, HotPotatoModel};
+use hotpotato::{HotPotatoConfig, HotPotatoModel};
 use pdes::{EngineConfig, JsonlSink, ObsConfig, TRACE_UNBOUNDED};
 
 const N: u32 = 16;
@@ -182,13 +182,19 @@ fn main() -> ExitCode {
         .with_obs(ObsConfig::disabled())
         .with_audit(false)
         .without_checkpoints();
-    let oracle = simulate_sequential(&model, &dark).expect("sequential oracle failed");
+    let oracle = model
+        .run(&dark)
+        .sequential()
+        .go()
+        .expect("sequential oracle failed");
     let committed = oracle.stats.events_committed;
 
     // Warm-up + correctness, once per mode, before anything is timed.
     for m in MODES {
-        let r =
-            simulate_parallel(&model, &(m.cfg)(&dark, &scratch.0)).expect("parallel run failed");
+        let r = model
+            .run(&(m.cfg)(&dark, &scratch.0))
+            .go()
+            .expect("parallel run failed");
         assert_eq!(
             r.output, oracle.output,
             "{}: committed output diverged from the sequential oracle",
@@ -206,7 +212,7 @@ fn main() -> ExitCode {
         for (m, w) in MODES.iter().zip(&mut walls) {
             let cfg = (m.cfg)(&dark, &scratch.0);
             let t0 = Instant::now();
-            let r = simulate_parallel(&model, &cfg).expect("parallel run failed");
+            let r = model.run(&cfg).go().expect("parallel run failed");
             w.push(t0.elapsed());
             std::hint::black_box(r.output);
         }

@@ -8,7 +8,7 @@
 //! ```
 
 use bench::{check, f, Args, Report};
-use hotpotato::{simulate_sequential, HotPotatoConfig, HotPotatoModel, PolicyKind};
+use hotpotato::{HotPotatoConfig, HotPotatoModel, PolicyKind};
 use pdes::EngineConfig;
 
 fn main() {
@@ -46,7 +46,7 @@ fn main() {
             let cfg = HotPotatoConfig::new(n, steps).with_policy(policy);
             let model = HotPotatoModel::torus(cfg);
             let engine = EngineConfig::new(model.end_time()).with_seed(args.seed);
-            let net = check(simulate_sequential(&model, &engine)).output;
+            let net = check(model.run(&engine).sequential().go()).output;
             report.row(&[
                 n.to_string(),
                 policy.name().to_string(),

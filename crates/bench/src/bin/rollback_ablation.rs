@@ -15,7 +15,6 @@
 //! ```
 
 use bench::{check, f, median_wall, torus_model, Args, Report};
-use hotpotato::{simulate_parallel, simulate_parallel_state_saving};
 use pdes::EngineConfig;
 
 fn main() {
@@ -47,8 +46,8 @@ fn main() {
             .with_pes(2)
             .with_kps(64);
 
-        let rc = median_wall(|| check(simulate_parallel(&model, &engine)).stats);
-        let ss = median_wall(|| check(simulate_parallel_state_saving(&model, &engine)).stats);
+        let rc = median_wall(|| check(model.run(&engine).go()).stats);
+        let ss = median_wall(|| check(model.run(&engine).state_saving().go()).stats);
 
         report.row(&[
             n.to_string(),

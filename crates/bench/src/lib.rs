@@ -149,11 +149,8 @@ pub fn run_point(
         .with_seed(seed)
         .with_pes(pes)
         .with_kps(kps);
-    check(if pes <= 1 {
-        hotpotato::simulate_sequential(model, &engine)
-    } else {
-        hotpotato::simulate_parallel(model, &engine)
-    })
+    let run = model.run(&engine);
+    check(if pes <= 1 { run.sequential() } else { run }.go())
 }
 
 /// Largest N for which the figure binaries derive their statistics from the
@@ -176,11 +173,8 @@ pub fn run_point_traced(
         .with_pes(pes)
         .with_kps(kps)
         .with_obs(ObsConfig::default().with_packet_trace(TRACE_UNBOUNDED));
-    check(if pes <= 1 {
-        hotpotato::simulate_sequential(model, &engine)
-    } else {
-        hotpotato::simulate_parallel(model, &engine)
-    })
+    let run = model.run(&engine);
+    check(if pes <= 1 { run.sequential() } else { run }.go())
 }
 
 /// `(avg delivery steps, avg inject wait steps)` recomputed from the
@@ -251,7 +245,7 @@ pub fn run_point_timewarp(
         .with_pes(pes)
         .with_kps(kps)
         .with_gvt_interval(gvt_interval);
-    check(hotpotato::simulate_parallel(model, &engine))
+    check(model.run(&engine).go())
 }
 
 /// Minimal self-contained timing harness for the `benches/` binaries (which

@@ -24,12 +24,13 @@
 //!   dimension-order baselines;
 //! * [`NetStats`] — delivery-time, injection-wait and deflection statistics
 //!   (the paper's Figures 3 and 4);
-//! * [`simulate_sequential`] / [`simulate_parallel`] runners.
+//! * [`HotPotatoModel::run`] — a [`pdes::Run`] with the model's horizon and
+//!   the paper's block mapping already set.
 //!
 //! ## Quick example
 //!
 //! ```
-//! use hotpotato::{HotPotatoConfig, HotPotatoModel, simulate_sequential};
+//! use hotpotato::{HotPotatoConfig, HotPotatoModel};
 //! use pdes::EngineConfig;
 //!
 //! // An 8×8 torus, everything injecting, 200 steps.
@@ -37,7 +38,7 @@
 //! let model = HotPotatoModel::torus(cfg);
 //! let engine = EngineConfig::new(model.end_time()).with_seed(42);
 //! // Runs return `Result<RunResult, RunError>`; a healthy config succeeds.
-//! let result = simulate_sequential(&model, &engine).unwrap();
+//! let result = model.run(&engine).sequential().go().unwrap();
 //! let net = result.output;
 //! assert!(net.totals.delivered > 0);
 //! // O(N) delivery: the average is a small multiple of the ~N/2 distance.
@@ -50,7 +51,6 @@ pub mod msg;
 pub mod packet;
 pub mod policy;
 pub mod router;
-pub mod run;
 pub mod stats;
 pub mod timing;
 
@@ -60,8 +60,4 @@ pub use msg::Msg;
 pub use packet::{Packet, PacketId, Priority};
 pub use policy::{PolicyKind, RouteDecision};
 pub use router::RouterState;
-pub use run::{
-    simulate, simulate_parallel, simulate_parallel_state_saving, simulate_resumed,
-    simulate_sequential, simulate_supervised,
-};
 pub use stats::{NetStats, RouterStats};

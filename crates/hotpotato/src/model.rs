@@ -30,7 +30,7 @@ use pdes::ckpt::{CkptError, CkptReader, CkptWriter};
 use pdes::model::{EventCtx, InitCtx, ReverseCtx};
 use pdes::prelude::*;
 use pdes::rng::ReversibleRng;
-use topo::{Direction, Topology, Torus};
+use topo::{BlockMapping, Direction, Topology, Torus};
 
 use crate::config::HotPotatoConfig;
 use crate::msg::{bits, tie, Msg, SavedInject, SavedRoute};
@@ -153,6 +153,16 @@ impl<T: Topology> HotPotatoModel<T> {
     /// Virtual-time horizon covering exactly `cfg.steps` full steps.
     pub fn end_time(&self) -> VirtualTime {
         VirtualTime::from_steps(self.cfg.steps + 1)
+    }
+
+    /// A [`Run`] of this model under `engine`, with the horizon set to
+    /// [`end_time`](Self::end_time) and the paper's rectangular block
+    /// LP→KP→PE mapping (Section 3.2.3). Further builder steps — another
+    /// `.mapping(..)`, `.sequential()`, `.resume(..)`, … — apply as usual.
+    pub fn run(&self, engine: &EngineConfig) -> Run<'_, Self> {
+        let mut cfg = engine.clone();
+        cfg.end_time = self.end_time();
+        Run::new(self, &cfg).mapping(BlockMapping::new(self.cfg.n, cfg.n_kps, cfg.n_pes))
     }
 
     /// The model's natural optimism bound, in ticks: every cross-router
@@ -821,6 +831,23 @@ mod tests {
             m.handle(state, msg, &mut ctx);
         }
         (bf, out, rng.call_count() - before)
+    }
+
+    #[test]
+    fn run_without_pes_or_kps_is_config_invalid() {
+        // The builders assert, so break the counts by hand: the block
+        // mapping `run` sets must not assert before the config is checked.
+        let m = model(4);
+        for (pes, kps) in [(0, 16), (2, 0), (0, 0)] {
+            let mut engine = EngineConfig::new(m.end_time());
+            (engine.n_pes, engine.n_kps) = (pes, kps);
+            let r = m.run(&engine).go();
+            assert!(
+                matches!(r, Err(RunError::ConfigInvalid { .. })),
+                "pes={pes} kps={kps}: {:?}",
+                r.err()
+            );
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //!
 //! Injection counts surface in [`EngineStats`]; the invariant — checked by
 //! `tests/chaos.rs` — is that **any** plan commits output bit-identical to
-//! `run_sequential`.
+//! the sequential kernel's.
 
 use crate::event::{PeId, Remote};
 use crate::rng::{stream_seed, Clcg4, ReversibleRng};

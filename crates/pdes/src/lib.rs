@@ -21,6 +21,10 @@
 //! * A **sequential kernel** ([`sequential`]) with identical semantics is
 //!   the determinism oracle: both kernels commit the same total event order
 //!   and produce bit-identical model outputs.
+//! * Every run starts through one builder, [`Run`]: `Run::new(&model,
+//!   &config)`, optionally `.sequential()`, `.mapping(..)`,
+//!   `.state_saving()`, `.resume(&snapshot)` and `.supervised(policy)` in
+//!   any combination, then `.go()`.
 //!
 //! ## Quick example
 //!
@@ -71,13 +75,13 @@
 //!
 //! let model = Ring { n: 4 };
 //! let config = EngineConfig::new(VirtualTime::from_steps(10)).with_pes(2);
-//! let seq = run_sequential(&model, &config).unwrap();
-//! let par = run_parallel(&model, &config).unwrap();
+//! let seq = Run::new(&model, &config).sequential().go().unwrap();
+//! let par = Run::new(&model, &config).go().unwrap();
 //! assert_eq!(seq.output.0, 9);
 //! assert_eq!(par.output.0, 9);
 //! ```
 //!
-//! Both kernels return `Result<RunResult, RunError>`: an invalid
+//! [`Run::go`] returns `Result<RunResult, RunError>`: an invalid
 //! configuration, an audit violation, an exhausted arena or a failed
 //! checkpoint is a structured [`RunError`](error::RunError) with per-PE
 //! diagnostics on either kernel. Only the parallel kernel contains panics
@@ -116,6 +120,7 @@ pub mod obs;
 pub mod parallel;
 pub mod pool;
 pub mod rng;
+mod run;
 pub mod scheduler;
 pub mod sequential;
 pub mod stats;
@@ -127,8 +132,8 @@ pub mod prelude {
     pub use crate::arena::{EventArena, SlotRef};
     pub use crate::audit::{AuditCheck, AuditHasher, AuditViolation};
     pub use crate::ckpt::{
-        list_snapshots, read_snapshot, supervise, CkptError, CkptReader, CkptWriter,
-        RecoveryReport, Snapshot, SupervisorPolicy,
+        list_snapshots, read_snapshot, CkptError, CkptReader, CkptWriter, Snapshot,
+        SupervisorPolicy,
     };
     pub use crate::config::{EngineConfig, GvtMode};
     pub use crate::error::{PeDiagnostics, RunDiagnostics, RunError};
@@ -147,13 +152,11 @@ pub mod prelude {
         CategoryMask, JsonlSink, MemorySink, MetricsSink, NullSink, ObsCategory, ObsConfig,
         ObsSeverity, RecorderSummary, RoundSnapshot, Telemetry,
     };
-    pub use crate::parallel::{
-        run_parallel, run_parallel_mapped, run_parallel_mapped_state_saving,
-        run_parallel_state_saving, run_resumed,
-    };
+    pub use crate::parallel::run_parallel_mapped;
     pub use crate::rng::ReversibleRng;
+    pub use crate::run::Run;
     pub use crate::scheduler::SchedulerKind;
-    pub use crate::sequential::{run_sequential, run_sequential_resumed};
+    pub use crate::sequential::run_sequential;
     pub use crate::stats::{EngineStats, RunResult};
     pub use crate::time::VirtualTime;
 }

@@ -54,6 +54,26 @@ pub trait Mapping: Send + Sync {
     }
 }
 
+/// A borrowed mapping maps the same way, so a caller can hand
+/// [`Run::mapping`](crate::Run::mapping) one it keeps using.
+impl<T: Mapping + ?Sized> Mapping for &T {
+    fn n_lps(&self) -> u32 {
+        (**self).n_lps()
+    }
+    fn n_kps(&self) -> u32 {
+        (**self).n_kps()
+    }
+    fn n_pes(&self) -> usize {
+        (**self).n_pes()
+    }
+    fn kp_of(&self, lp: LpId) -> KpId {
+        (**self).kp_of(lp)
+    }
+    fn pe_of(&self, kp: KpId) -> PeId {
+        (**self).pe_of(kp)
+    }
+}
+
 /// Contiguous block mapping: LPs `[i·L/K, (i+1)·L/K)` belong to KP `i`, and
 /// KPs are dealt to PEs in contiguous runs. This is ROSS's default and a
 /// reasonable fit for the torus model, where consecutive LP numbers are

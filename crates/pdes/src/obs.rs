@@ -1294,6 +1294,10 @@ pub struct Telemetry {
     /// [`ObsConfig::with_packet_trace`] enabled it), sealed into sequential
     /// execution order.
     pub trace: trace::PacketTrace,
+    /// The GVT round of each snapshot a supervised run recovered from, in
+    /// order (see [`Run::supervised`](crate::Run::supervised)); empty for
+    /// any other run.
+    pub resumed_rounds: Vec<u64>,
 }
 
 impl Telemetry {

@@ -26,8 +26,8 @@
 //!
 //! Determinism: because the commit order is the total [`EventKey`] order —
 //! logical fields only — a parallel run commits exactly the sequential
-//! order, and model outputs are bit-identical to
-//! [`run_sequential`](crate::sequential::run_sequential). That is the
+//! order, and model outputs are bit-identical to the
+//! [`sequential`](crate::sequential) kernel's. That is the
 //! paper's repeatability result (Section 4.2.1), verified by this module's
 //! tests and the workspace integration tests.
 //!
@@ -44,10 +44,18 @@
 //! crashing; the execution will be rolled back). Committed history contains
 //! exactly one event per key.
 //!
+//! A run reaches this kernel through [`Run::go`](crate::Run::go), which
+//! validates the config, picks the mapping (the builder's, or a contiguous
+//! [`LinearMapping`](crate::mapping::LinearMapping)) and the rollback
+//! mechanism (reverse computation, or state saving via
+//! [`Run::state_saving`](crate::Run::state_saving)), restores a resume
+//! frame, and — under [`Run::supervised`](crate::Run::supervised) — calls
+//! it again after a crash.
+//!
 //! ## Failure model
 //!
-//! Every entry point returns `Result<RunResult, RunError>` and is guaranteed
-//! to *return*: no deadlock, no process abort.
+//! A run returns `Result<RunResult, RunError>` and is guaranteed to
+//! *return*: no deadlock, no process abort.
 //!
 //! * A panic on any PE — in a model handler or on a kernel invariant — is
 //!   caught by `catch_unwind`; the panicking PE records the failure and
@@ -109,7 +117,7 @@ use std::time::{Duration, Instant};
 
 use crate::arena::{EventArena, SlotRef};
 use crate::audit::{self, AuditCheck, AuditState, AuditViolation};
-use crate::ckpt::{self, BootFrame, CkptPart, Snapshot};
+use crate::ckpt::{self, BootFrame, CkptPart};
 use crate::comm::{Batch, CommFabric};
 use crate::config::EngineConfig;
 use crate::error::{decode_payload, FailureCause, PeDiagnostics, RunDiagnostics, RunError};
@@ -121,7 +129,7 @@ use crate::gvt::IncGvt;
 use crate::hash::{FastMap, FastSet};
 use crate::kp::{Kp, Processed, Undone};
 use crate::lifecycle;
-use crate::mapping::{FlatMapping, LinearMapping, Mapping};
+use crate::mapping::{FlatMapping, Mapping};
 use crate::model::{Emit, EventCtx, Merge, Model, ReverseCtx};
 use crate::obs::blame::{BlameTracker, CascadeTag};
 use crate::obs::prof::{Phase, PhaseProfiler};
@@ -260,7 +268,8 @@ struct LpSlot<M: Model> {
 
 /// Snapshot function for state-saving mode: clones `(state, rng)` before
 /// each event. `None` selects reverse computation.
-type SnapshotFn<M> = Option<fn(&<M as Model>::State, &Clcg4) -> (<M as Model>::State, Clcg4)>;
+pub(crate) type SnapshotFn<M> =
+    Option<fn(&<M as Model>::State, &Clcg4) -> (<M as Model>::State, Clcg4)>;
 
 /// Everything one worker thread owns.
 struct PeRuntime<'a, M: Model> {
@@ -1789,123 +1798,26 @@ struct PeReport<O> {
     round: u64,
 }
 
-/// Run `model` on the optimistic kernel with the default contiguous
-/// [`LinearMapping`] derived from the config's PE/KP counts.
-pub fn run_parallel<M: Model>(
-    model: &M,
-    config: &EngineConfig,
-) -> Result<RunResult<M::Output>, RunError> {
-    let mapping = default_mapping(model, config)?;
-    run_parallel_mapped(model, config, &mapping)
-}
-
-/// The default contiguous mapping for `model` under `config`. Validates
-/// first: `LinearMapping::new` asserts on inconsistent counts, and those
-/// must surface as `ConfigInvalid` instead.
-fn default_mapping<M: Model>(model: &M, config: &EngineConfig) -> Result<LinearMapping, RunError> {
-    config.validate()?;
-    if model.n_lps() == 0 {
-        return Err(RunError::config("model has no LPs"));
-    }
-    Ok(LinearMapping::new(
-        model.n_lps(),
-        config.n_kps,
-        config.n_pes,
-    ))
-}
-
-/// Run `model` on the optimistic kernel using **state saving** instead of
-/// reverse computation: the kernel snapshots `(state, RNG)` before every
-/// event and restores snapshots on rollback, never calling
-/// [`Model::reverse`]. This is the Georgia Tech Time Warp approach that
-/// ROSS's reverse computation replaced (paper Section 3.2.1) — provided as
-/// the natural ablation baseline (experiment E12).
-pub fn run_parallel_state_saving<M>(
-    model: &M,
-    config: &EngineConfig,
-) -> Result<RunResult<M::Output>, RunError>
-where
-    M: Model,
-    M::State: Clone,
-{
-    let mapping = default_mapping(model, config)?;
-    run_parallel_mapped_state_saving(model, config, &mapping)
-}
-
-/// State-saving variant of [`run_parallel_mapped`].
-pub fn run_parallel_mapped_state_saving<M>(
-    model: &M,
-    config: &EngineConfig,
-    mapping: &dyn Mapping,
-) -> Result<RunResult<M::Output>, RunError>
-where
-    M: Model,
-    M::State: Clone,
-{
-    run_parallel_inner(
-        model,
-        config,
-        mapping,
-        Some(|s: &M::State, r: &Clcg4| (s.clone(), *r)),
-        None,
-    )
-}
-
-/// Run `model` on the optimistic kernel with an explicit LP→KP→PE mapping
-/// (e.g. the torus block mapping from the `topo` crate).
+/// `Run::new(model, config).mapping(mapping).go()`, kept only because the
+/// `benchmark/` package imports it; removed with the next benchmark change.
 pub fn run_parallel_mapped<M: Model>(
     model: &M,
     config: &EngineConfig,
     mapping: &dyn Mapping,
 ) -> Result<RunResult<M::Output>, RunError> {
-    run_parallel_inner(model, config, mapping, None, None)
+    crate::Run::new(model, config).mapping(mapping).go()
 }
 
-/// Resume a parallel run from a checkpoint [`Snapshot`] with the default
-/// contiguous [`LinearMapping`].
-///
-/// The snapshot is validated against `model` and `config` (seed, horizon, LP
-/// count, and every LP's audit fingerprint must match — see
-/// [`ckpt`](crate::ckpt)); the machine is then rebuilt from the captured
-/// frame and execution continues. The committed suffix — and therefore the
-/// final model output — is bit-identical to an uninterrupted run, for any
-/// scheduler and PE count (the frame is PE-count-independent, so a snapshot
-/// captured on 4 PEs resumes on 1 or 2, or on the sequential kernel via
-/// [`run_sequential_resumed`](crate::sequential::run_sequential_resumed)).
-/// Uses reverse computation; there is no state-saving resume variant.
-pub fn run_resumed<M: Model>(
-    model: &M,
-    config: &EngineConfig,
-    snap: &Snapshot,
-) -> Result<RunResult<M::Output>, RunError> {
-    let mapping = default_mapping(model, config)?;
-    run_resumed_mapped(model, config, &mapping, snap)
-}
-
-/// [`run_resumed`] with an explicit LP→KP→PE mapping.
-pub fn run_resumed_mapped<M: Model>(
-    model: &M,
-    config: &EngineConfig,
-    mapping: &dyn Mapping,
-    snap: &Snapshot,
-) -> Result<RunResult<M::Output>, RunError> {
-    config.validate()?;
-    let restored = crate::ckpt::restore(model, config, snap)?;
-    run_parallel_inner(model, config, mapping, None, Some(restored))
-}
-
-fn run_parallel_inner<M: Model>(
+/// The optimistic kernel: `config` validated and instrumented by
+/// [`Run::go`](crate::Run::go), `mapping` checked against the model here.
+pub(crate) fn run_parallel_inner<M: Model>(
     model: &M,
     config: &EngineConfig,
     mapping: &dyn Mapping,
     snapshot_fn: SnapshotFn<M>,
     resume: Option<BootFrame<M>>,
 ) -> Result<RunResult<M::Output>, RunError> {
-    config.validate()?;
     let n_lps = model.n_lps();
-    if n_lps == 0 {
-        return Err(RunError::config("model has no LPs"));
-    }
     if mapping.n_lps() != n_lps {
         return Err(RunError::config(format!(
             "mapping/model LP count mismatch: mapping has {}, model has {n_lps}",
@@ -1921,13 +1833,6 @@ fn run_parallel_inner<M: Model>(
             "PE count {n_pes} exceeds EventId space"
         )));
     }
-
-    // Fleet registry: an obs.metrics_path turns into a run manifest + a
-    // JSONL sink before any event executes (see obs::agg). The returned
-    // config (metrics_path consumed, sink installed) replaces the caller's
-    // for the rest of the run.
-    let config = crate::obs::agg::instrument(config, n_lps as u64, "parallel")?;
-    let config: &EngineConfig = &config;
 
     // ---- Sequential setup phase (like ROSS's startup function). ----
     // Every PE's share of the boot events, under fresh ids from a dedicated

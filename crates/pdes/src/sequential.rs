@@ -7,6 +7,7 @@
 //! the parallel model to be deterministic"*. The integration tests assert
 //! byte-identical model outputs between the two kernels.
 //!
+//! A run reaches it through [`Run::sequential`](crate::Run::sequential).
 //! Only the loop lives here — pop in key order, handle, commit, push the
 //! children. Boot, the audit probe, frame capture, round emission and
 //! teardown are the shared run [`lifecycle`] the parallel kernel calls too.
@@ -18,7 +19,7 @@ use std::time::Instant;
 
 use crate::arena::EventArena;
 use crate::audit::{self, AuditState};
-use crate::ckpt::{self, BootFrame, Snapshot};
+use crate::ckpt::{self, BootFrame};
 use crate::config::EngineConfig;
 use crate::error::{FailureCause, PeDiagnostics, RunDiagnostics, RunError};
 use crate::event::{Bitfield, EventId, EventKey, QueueEntry};
@@ -30,7 +31,18 @@ use crate::obs::{ObsKind, ObsRecord, RoundSnapshot, Telemetry};
 use crate::scheduler::EventQueue;
 use crate::stats::RunResult;
 
-/// Run `model` to completion on the sequential kernel.
+/// `Run::new(model, config).sequential().go()`, kept only because the
+/// `benchmark/` package imports it; removed with the next benchmark change.
+pub fn run_sequential<M: Model>(
+    model: &M,
+    config: &EngineConfig,
+) -> Result<RunResult<M::Output>, RunError> {
+    crate::Run::new(model, config).sequential().go()
+}
+
+/// The reference loop: `config` validated and instrumented by
+/// [`Run::go`](crate::Run::go), which also restored `resume` if there is
+/// one.
 ///
 /// Consulted from the config: `end_time`, `seed`, `scheduler`,
 /// `arena_slots`, the checkpoint knobs, `obs` (same telemetry surface as
@@ -43,52 +55,16 @@ use crate::stats::RunResult;
 /// progress line), and the communication faults of a configured
 /// [`fault_plan`](crate::config::EngineConfig::fault_plan) (there is no
 /// inter-PE boundary to inject them at — only
-/// [`poison_ckpt`](crate::fault::FaultPlan::poison_ckpt) applies here). An
-/// empty model or an invalid configuration is rejected as
-/// [`RunError::ConfigInvalid`](crate::error::RunError::ConfigInvalid). A
+/// [`poison_ckpt`](crate::fault::FaultPlan::poison_ckpt) applies here). A
 /// model panic is *not* contained here (only the parallel kernel runs its
 /// workers under `catch_unwind`); every other failure closes the metrics
 /// stream with a `fail` heartbeat, exactly like a parallel run.
-pub fn run_sequential<M: Model>(
-    model: &M,
-    config: &EngineConfig,
-) -> Result<RunResult<M::Output>, RunError> {
-    run_sequential_inner(model, config, None)
-}
-
-/// Resume a sequential run from a checkpoint [`Snapshot`].
-///
-/// The snapshot is validated against `model` and `config` (seed, horizon,
-/// LP count, and per-LP audit fingerprints must all match); execution then
-/// continues from the captured frontier and the committed suffix is
-/// bit-identical to the same span of an uninterrupted run. Snapshots are
-/// kernel-portable: a frame captured by the parallel kernel resumes here
-/// and vice versa.
-pub fn run_sequential_resumed<M: Model>(
-    model: &M,
-    config: &EngineConfig,
-    snap: &Snapshot,
-) -> Result<RunResult<M::Output>, RunError> {
-    config.validate()?;
-    let restored = ckpt::restore(model, config, snap)?;
-    run_sequential_inner(model, config, Some(restored))
-}
-
-fn run_sequential_inner<M: Model>(
+pub(crate) fn run_sequential_inner<M: Model>(
     model: &M,
     config: &EngineConfig,
     resume: Option<BootFrame<M>>,
 ) -> Result<RunResult<M::Output>, RunError> {
-    config.validate()?;
     let n_lps = model.n_lps();
-    if n_lps == 0 {
-        return Err(RunError::config("model has no LPs"));
-    }
-    // Run registry: a configured `metrics_path` turns into a run directory
-    // with a manifest plus a JSONL sink (see [`obs::agg`](crate::obs::agg)).
-    let config = crate::obs::agg::instrument(config, n_lps as u64, "sequential")?;
-    let config: &EngineConfig = &config;
-
     let default_slots = EventArena::<M::Payload>::DEFAULT_SLOTS;
     let mut pending = Pending::<M::Payload> {
         queue: config.scheduler.build(),
@@ -360,6 +336,7 @@ mod tests {
     use crate::model::{InitCtx, Merge, ReverseCtx};
     use crate::rng::ReversibleRng;
     use crate::time::VirtualTime;
+    use crate::Run;
 
     /// A ping-pong model: LP i sends to LP (i+1) % n every step; counts
     /// received messages and sums RNG draws to exercise the stream.
@@ -439,7 +416,7 @@ mod tests {
     fn ping_pong_event_count_is_exact() {
         let model = PingPong { n: 4 };
         let config = EngineConfig::new(VirtualTime::from_steps(11));
-        let result = run_sequential(&model, &config).unwrap();
+        let result = Run::new(&model, &config).sequential().go().unwrap();
         // Each LP fires at steps 1..=10 → 4 LPs × 10 steps, plus nothing at
         // step 11 (>= end is excluded... step 11 events exist but horizon is
         // exclusive).
@@ -452,8 +429,8 @@ mod tests {
     fn deterministic_across_runs() {
         let model = PingPong { n: 8 };
         let config = EngineConfig::new(VirtualTime::from_steps(50)).with_seed(99);
-        let a = run_sequential(&model, &config).unwrap();
-        let b = run_sequential(&model, &config).unwrap();
+        let a = Run::new(&model, &config).sequential().go().unwrap();
+        let b = Run::new(&model, &config).sequential().go().unwrap();
         assert_eq!(a.output, b.output);
         assert_eq!(a.stats.events_committed, b.stats.events_committed);
     }
@@ -462,15 +439,19 @@ mod tests {
     fn different_seed_same_topological_counts() {
         // Event counts don't depend on RNG here, only the draws do.
         let model = PingPong { n: 4 };
-        let a = run_sequential(
+        let a = Run::new(
             &model,
             &EngineConfig::new(VirtualTime::from_steps(5)).with_seed(1),
         )
+        .sequential()
+        .go()
         .unwrap();
-        let b = run_sequential(
+        let b = Run::new(
             &model,
             &EngineConfig::new(VirtualTime::from_steps(5)).with_seed(2),
         )
+        .sequential()
+        .go()
         .unwrap();
         assert_eq!(a.output, b.output);
     }
@@ -480,9 +461,14 @@ mod tests {
         use crate::scheduler::SchedulerKind;
         let model = PingPong { n: 8 };
         let base = EngineConfig::new(VirtualTime::from_steps(30)).with_seed(5);
-        let heap =
-            run_sequential(&model, &base.clone().with_scheduler(SchedulerKind::Heap)).unwrap();
-        let splay = run_sequential(&model, &base.with_scheduler(SchedulerKind::Splay)).unwrap();
+        let heap = Run::new(&model, &base.clone().with_scheduler(SchedulerKind::Heap))
+            .sequential()
+            .go()
+            .unwrap();
+        let splay = Run::new(&model, &base.with_scheduler(SchedulerKind::Splay))
+            .sequential()
+            .go()
+            .unwrap();
         assert_eq!(heap.output, splay.output);
         assert_eq!(heap.stats.events_committed, splay.stats.events_committed);
     }

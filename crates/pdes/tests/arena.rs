@@ -105,7 +105,7 @@ fn config() -> EngineConfig {
 /// payload and show up here as an output mismatch (or an arena panic).
 #[test]
 fn scheduler_pe_matrix_is_deterministic_under_chaos() {
-    let oracle = run_sequential(&storm(), &config()).unwrap();
+    let oracle = Run::new(&storm(), &config()).sequential().go().unwrap();
     assert!(oracle.output.hops > 500, "workload too small to stress");
     let chaos = FaultPlan::new(0xFA11)
         .with_delay(0.25)
@@ -122,7 +122,8 @@ fn scheduler_pe_matrix_is_deterministic_under_chaos() {
                 .with_scheduler(sched)
                 .with_pes(pes)
                 .with_faults(chaos);
-            let par = run_parallel(&storm(), &cfg)
+            let par = Run::new(&storm(), &cfg)
+                .go()
                 .unwrap_or_else(|e| panic!("{sched:?} × {pes} PEs failed: {e}"));
             assert_eq!(
                 par.output, oracle.output,
@@ -147,7 +148,7 @@ fn exhaustion_is_a_structured_error_on_both_kernels() {
     // The storm seeds 64 events at init; 3 slots cannot even hold those.
     let tiny = config().with_arena_slots(3);
 
-    match run_sequential(&storm(), &tiny) {
+    match Run::new(&storm(), &tiny).sequential().go() {
         Err(RunError::ArenaExhausted {
             pe,
             capacity,
@@ -160,7 +161,7 @@ fn exhaustion_is_a_structured_error_on_both_kernels() {
         other => panic!("sequential: expected ArenaExhausted, got {other:?}"),
     }
 
-    match run_parallel(&storm(), &tiny.clone().with_pes(2)) {
+    match Run::new(&storm(), &tiny.clone().with_pes(2)).go() {
         Err(RunError::ArenaExhausted { capacity, .. }) => {
             assert_eq!(capacity, 3);
         }
@@ -173,16 +174,21 @@ fn exhaustion_is_a_structured_error_on_both_kernels() {
 /// that capacity is enforced exactly, not approximately.
 #[test]
 fn reported_peak_is_the_exact_capacity_floor() {
-    let baseline = run_sequential(&storm(), &config()).unwrap();
+    let baseline = Run::new(&storm(), &config()).sequential().go().unwrap();
     let peak = baseline.stats.arena_peak_slots as u32;
     assert!(peak > 0);
 
-    let exact = run_sequential(&storm(), &config().with_arena_slots(peak)).unwrap();
+    let exact = Run::new(&storm(), &config().with_arena_slots(peak))
+        .sequential()
+        .go()
+        .unwrap();
     assert_eq!(exact.output, baseline.output);
 
     assert!(
         matches!(
-            run_sequential(&storm(), &config().with_arena_slots(peak - 1)),
+            Run::new(&storm(), &config().with_arena_slots(peak - 1))
+                .sequential()
+                .go(),
             Err(RunError::ArenaExhausted { .. })
         ),
         "peak - 1 slots must exhaust"

@@ -74,7 +74,10 @@ fn bad_cfg() -> EngineConfig {
 
 #[test]
 fn sequential_auditor_catches_bad_reverse() {
-    let err = run_sequential(&BadReverse, &bad_cfg().with_audit(true)).unwrap_err();
+    let err = Run::new(&BadReverse, &bad_cfg().with_audit(true))
+        .sequential()
+        .go()
+        .unwrap_err();
     let v = err
         .audit_violation()
         .unwrap_or_else(|| panic!("expected AuditFailed, got {err}"));
@@ -88,10 +91,11 @@ fn sequential_auditor_catches_bad_reverse() {
 
 #[test]
 fn parallel_auditor_catches_bad_reverse() {
-    let err = run_parallel(
+    let err = Run::new(
         &BadReverse,
         &bad_cfg().with_audit(true).with_pes(2).with_kps(4),
     )
+    .go()
     .unwrap_err();
     let v = err
         .audit_violation()
@@ -108,14 +112,14 @@ fn parallel_auditor_catches_bad_reverse() {
 fn both_kernels_report_the_same_bad_reverse_violation() {
     let cfg = bad_cfg().with_audit(true).with_kps(4);
     let runs = [
-        ("sequential", run_sequential(&BadReverse, &cfg)),
+        ("sequential", Run::new(&BadReverse, &cfg).sequential().go()),
         (
             "parallel/1",
-            run_parallel(&BadReverse, &cfg.clone().with_pes(1)),
+            Run::new(&BadReverse, &cfg.clone().with_pes(1)).go(),
         ),
         (
             "parallel/2",
-            run_parallel(&BadReverse, &cfg.clone().with_pes(2)),
+            Run::new(&BadReverse, &cfg.clone().with_pes(2)).go(),
         ),
     ];
     let violations: Vec<_> = runs
@@ -141,12 +145,16 @@ fn both_kernels_report_the_same_bad_reverse_violation() {
 fn bad_reverse_runs_to_completion_with_audit_off() {
     // Audit off: nothing calls reverse in these configurations, so the
     // defect is invisible and the run must complete.
-    let seq = run_sequential(&BadReverse, &bad_cfg().with_audit(false)).unwrap();
+    let seq = Run::new(&BadReverse, &bad_cfg().with_audit(false))
+        .sequential()
+        .go()
+        .unwrap();
     assert!(seq.stats.events_committed >= 10);
-    let par = run_parallel(
+    let par = Run::new(
         &BadReverse,
         &bad_cfg().with_audit(false).with_pes(1).with_kps(4),
     )
+    .go()
     .unwrap();
     assert_eq!(par.output, seq.output);
 }
@@ -224,10 +232,15 @@ fn storm_cfg(seed: u64) -> EngineConfig {
 /// conservation, scheduler digests) and still agree with sequential.
 #[test]
 fn auditor_passes_correct_model_under_rollbacks() {
-    let seq = run_sequential(&Storm, &storm_cfg(0xA11D).with_audit(true)).unwrap();
+    let seq = Run::new(&Storm, &storm_cfg(0xA11D).with_audit(true))
+        .sequential()
+        .go()
+        .unwrap();
     let mut saw_rollback = false;
     for seed in [0xA11Du64, 0xA11E, 0xA11F] {
-        let par = run_parallel(&Storm, &storm_cfg(seed).with_audit(true)).unwrap();
+        let par = Run::new(&Storm, &storm_cfg(seed).with_audit(true))
+            .go()
+            .unwrap();
         saw_rollback |= par.stats.events_rolled_back > 0;
         if seed == 0xA11D {
             assert_eq!(par.output, seq.output);
@@ -251,7 +264,7 @@ fn auditor_catches_dropped_anti_message() {
         let cfg = storm_cfg(0x0D20_0000 + seed)
             .with_audit(true)
             .with_audit_drop_anti(0);
-        match run_parallel(&Storm, &cfg) {
+        match Run::new(&Storm, &cfg).go() {
             Err(err) => {
                 let v = err
                     .audit_violation()
@@ -281,7 +294,7 @@ fn audit_drop_anti_without_audit_is_rejected() {
     let mut cfg = storm_cfg(1);
     cfg.audit = false;
     cfg.audit_drop_anti = Some(0);
-    let r = run_parallel(&Storm, &cfg);
+    let r = Run::new(&Storm, &cfg).go();
     assert!(
         matches!(r, Err(RunError::ConfigInvalid { .. })),
         "got {r:?}"

@@ -130,7 +130,7 @@ fn assert_reconciled(stats: &EngineStats, label: &str) {
 /// structural zero — and that zero still serializes as valid JSON.
 #[test]
 fn sequential_blame_is_structurally_empty() {
-    let seq = run_sequential(&storm(), &config()).unwrap();
+    let seq = Run::new(&storm(), &config()).sequential().go().unwrap();
     assert!(seq.stats.blame.is_empty());
     assert_eq!(seq.stats.wasted_ns(), 0);
     json::validate(&seq.stats.blame.to_json()).expect("empty blame JSON invalid");
@@ -140,7 +140,9 @@ fn sequential_blame_is_structurally_empty() {
 /// same structural zero as the sequential oracle.
 #[test]
 fn one_pe_cannot_be_blamed() {
-    let par = run_parallel(&storm(), &config().with_pes(1).with_kps(8)).unwrap();
+    let par = Run::new(&storm(), &config().with_pes(1).with_kps(8))
+        .go()
+        .unwrap();
     assert_eq!(par.stats.events_rolled_back, 0);
     assert!(par.stats.blame.is_empty());
 }
@@ -151,7 +153,7 @@ fn one_pe_cannot_be_blamed() {
 /// same report renders the same bytes every time.
 #[test]
 fn chaos_storm_matrix_reconciles_on_every_scheduler_and_pe_count() {
-    let seq = run_sequential(&storm(), &config()).unwrap();
+    let seq = Run::new(&storm(), &config()).sequential().go().unwrap();
     let mut rollbacks_seen = 0u64;
     for sched in [
         SchedulerKind::Heap,
@@ -165,7 +167,7 @@ fn chaos_storm_matrix_reconciles_on_every_scheduler_and_pe_count() {
                 .with_kps(8)
                 .with_scheduler(sched)
                 .with_faults(chaos());
-            let par = run_parallel(&storm(), &cfg).unwrap();
+            let par = Run::new(&storm(), &cfg).go().unwrap();
             assert_eq!(
                 par.output, seq.output,
                 "{label}: chaos changed committed output"
@@ -274,7 +276,9 @@ fn forced_straggler_is_attributed_to_the_sending_lp() {
         .with_seed(42)
         .with_gvt_interval(1_000_000)
         .with_batch(100_000);
-    let par = run_parallel(&ForcedStraggler, &cfg.clone().with_pes(2).with_kps(2)).unwrap();
+    let par = Run::new(&ForcedStraggler, &cfg.clone().with_pes(2).with_kps(2))
+        .go()
+        .unwrap();
     let b = &par.stats.blame;
     assert!(
         b.cascades_straggler >= 1,
@@ -315,7 +319,7 @@ fn wasted_ns_matches_profiler_estimate_within_sampling_error() {
                 .with_pes(4)
                 .with_kps(8)
                 .with_faults(chaos());
-            run_parallel(&storm(), &cfg).unwrap()
+            Run::new(&storm(), &cfg).go().unwrap()
         })
         .find(|r| r.stats.events_rolled_back > 0)
         .expect("no seed produced a rollback to price");
@@ -344,7 +348,7 @@ fn round_snapshots_carry_cumulative_cascade_counters() {
         .with_kps(8)
         .with_faults(chaos())
         .with_obs(ObsConfig::default().with_series_capacity(4096));
-    let par = run_parallel(&storm(), &cfg).unwrap();
+    let par = Run::new(&storm(), &cfg).go().unwrap();
     let b = &par.stats.blame;
     assert!(
         !par.telemetry.rounds.is_empty(),
@@ -371,14 +375,15 @@ fn round_snapshots_carry_cumulative_cascade_counters() {
 /// sums every scalar exactly, in either order.
 #[test]
 fn merged_reports_sum_scalars_in_either_order() {
-    let a = run_parallel(
+    let a = Run::new(
         &storm(),
         &config().with_pes(4).with_kps(8).with_faults(chaos()),
     )
+    .go()
     .unwrap()
     .stats
     .blame;
-    let b = run_parallel(
+    let b = Run::new(
         &storm(),
         &config()
             .with_seed(0x5EED2)
@@ -386,6 +391,7 @@ fn merged_reports_sum_scalars_in_either_order() {
             .with_kps(8)
             .with_faults(chaos()),
     )
+    .go()
     .unwrap()
     .stats
     .blame;
@@ -436,7 +442,7 @@ fn disabled_blame_reports_nothing_but_legacy_counters_survive() {
                 .with_kps(8)
                 .with_faults(chaos())
                 .with_obs(ObsConfig::default().with_blame(false));
-            let par = run_parallel(&storm(), &cfg).unwrap();
+            let par = Run::new(&storm(), &cfg).go().unwrap();
             assert!(par.stats.blame.is_empty(), "seed {seed}: dark mode blamed");
             assert_eq!(par.stats.wasted_ns(), 0, "seed {seed}");
             par

@@ -61,39 +61,48 @@ fn cfg() -> EngineConfig {
 #[test]
 #[should_panic(expected = "zero-delay")]
 fn zero_delay_events_are_rejected() {
-    let _ = run_sequential(
+    let _ = Run::new(
         &Misbehaving {
             mode: Mode::ZeroDelay,
         },
         &cfg(),
-    );
+    )
+    .sequential()
+    .go();
 }
 
 #[test]
 #[should_panic(expected = "recv_time > 0")]
 fn init_events_at_time_zero_are_rejected() {
-    let _ = run_sequential(
+    let _ = Run::new(
         &Misbehaving {
             mode: Mode::InitAtZero,
         },
         &cfg(),
-    );
+    )
+    .sequential()
+    .go();
 }
 
 #[test]
 #[should_panic]
 fn events_to_nonexistent_lps_are_rejected() {
-    let _ = run_sequential(
+    let _ = Run::new(
         &Misbehaving {
             mode: Mode::BadDestination,
         },
         &cfg(),
-    );
+    )
+    .sequential()
+    .go();
 }
 
 #[test]
 fn well_behaved_model_runs() {
-    let r = run_sequential(&Misbehaving { mode: Mode::Fine }, &cfg()).unwrap();
+    let r = Run::new(&Misbehaving { mode: Mode::Fine }, &cfg())
+        .sequential()
+        .go()
+        .unwrap();
     assert_eq!(r.stats.events_committed, 1);
 }
 
@@ -112,12 +121,12 @@ fn empty_models_are_rejected() {
         fn reverse(&self, _s: &mut (), _p: &mut Tick, _c: &ReverseCtx) {}
         fn finish(&self, _lp: LpId, _s: &(), _o: &mut ()) {}
     }
-    let seq = run_sequential(&Empty, &cfg());
+    let seq = Run::new(&Empty, &cfg()).sequential().go();
     assert!(
         matches!(seq, Err(RunError::ConfigInvalid { ref reason }) if reason.contains("no LPs")),
         "expected ConfigInvalid, got {seq:?}"
     );
-    let par = run_parallel(&Empty, &cfg());
+    let par = Run::new(&Empty, &cfg()).go();
     assert!(
         matches!(par, Err(RunError::ConfigInvalid { ref reason }) if reason.contains("no LPs")),
         "expected ConfigInvalid, got {par:?}"
@@ -127,7 +136,9 @@ fn empty_models_are_rejected() {
 #[test]
 fn mapping_lp_count_mismatch_is_rejected() {
     let mapping = LinearMapping::new(5, 2, 1);
-    let r = run_parallel_mapped(&Misbehaving { mode: Mode::Fine }, &cfg(), &mapping);
+    let r = Run::new(&Misbehaving { mode: Mode::Fine }, &cfg())
+        .mapping(&mapping)
+        .go();
     assert!(
         matches!(r, Err(RunError::ConfigInvalid { ref reason }) if reason.contains("mismatch")),
         "expected ConfigInvalid, got {r:?}"
@@ -136,10 +147,12 @@ fn mapping_lp_count_mismatch_is_rejected() {
 
 #[test]
 fn horizon_zero_runs_nothing() {
-    let r = run_sequential(
+    let r = Run::new(
         &Misbehaving { mode: Mode::Fine },
         &EngineConfig::new(VirtualTime::ZERO),
     )
+    .sequential()
+    .go()
     .unwrap();
     assert_eq!(r.stats.events_committed, 0);
 }
@@ -147,10 +160,11 @@ fn horizon_zero_runs_nothing() {
 #[test]
 fn parallel_with_more_kps_than_lps_is_clamped_by_mapping() {
     // LinearMapping clamps KPs to the LP count; the engine accepts it.
-    let r = run_parallel(
+    let r = Run::new(
         &Misbehaving { mode: Mode::Fine },
         &cfg().with_pes(1).with_kps(64),
     )
+    .go()
     .unwrap();
     assert_eq!(r.stats.events_committed, 1);
 }
@@ -279,16 +293,29 @@ fn invalid_engine_configs_are_rejected_not_asserted() {
     // validate() instead of executing anything.
     let mut c = cfg().with_pes(2);
     c.n_kps = 1; // fewer KPs than PEs
-    let r = run_parallel(&Misbehaving { mode: Mode::Fine }, &c);
+    let r = Run::new(&Misbehaving { mode: Mode::Fine }, &c).go();
     assert!(
         matches!(r, Err(RunError::ConfigInvalid { .. })),
         "got {r:?}"
     );
 
     let bad_faults = cfg().with_faults(FaultPlan::new(1).with_delay(7.0));
-    let r = run_sequential(&Misbehaving { mode: Mode::Fine }, &bad_faults);
+    let r = Run::new(&Misbehaving { mode: Mode::Fine }, &bad_faults)
+        .sequential()
+        .go();
     assert!(
         matches!(r, Err(RunError::ConfigInvalid { .. })),
+        "got {r:?}"
+    );
+
+    // State saving is a rollback mechanism and the oracle never rolls back:
+    // asking for both is rejected, not silently ignored.
+    let r = Run::new(&Misbehaving { mode: Mode::Fine }, &cfg())
+        .sequential()
+        .state_saving()
+        .go();
+    assert!(
+        matches!(r, Err(RunError::ConfigInvalid { ref reason }) if reason.contains("state saving")),
         "got {r:?}"
     );
 }

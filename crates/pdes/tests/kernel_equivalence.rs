@@ -99,8 +99,8 @@ fn config() -> EngineConfig {
 
 #[test]
 fn sequential_is_reproducible() {
-    let a = run_sequential(&storm(), &config()).unwrap();
-    let b = run_sequential(&storm(), &config()).unwrap();
+    let a = Run::new(&storm(), &config()).sequential().go().unwrap();
+    let b = Run::new(&storm(), &config()).sequential().go().unwrap();
     assert_eq!(a.output, b.output);
     assert_eq!(a.stats.events_committed, b.stats.events_committed);
     assert!(a.output.hops > 500, "workload too small to be meaningful");
@@ -108,8 +108,10 @@ fn sequential_is_reproducible() {
 
 #[test]
 fn parallel_one_pe_matches_sequential() {
-    let seq = run_sequential(&storm(), &config()).unwrap();
-    let par = run_parallel(&storm(), &config().with_pes(1).with_kps(8)).unwrap();
+    let seq = Run::new(&storm(), &config()).sequential().go().unwrap();
+    let par = Run::new(&storm(), &config().with_pes(1).with_kps(8))
+        .go()
+        .unwrap();
     assert_eq!(par.output, seq.output);
     assert_eq!(par.stats.events_committed, seq.stats.events_committed);
     // One PE can never roll back.
@@ -118,9 +120,11 @@ fn parallel_one_pe_matches_sequential() {
 
 #[test]
 fn parallel_two_pes_matches_sequential() {
-    let seq = run_sequential(&storm(), &config()).unwrap();
+    let seq = Run::new(&storm(), &config()).sequential().go().unwrap();
     for kps in [2, 4, 16] {
-        let par = run_parallel(&storm(), &config().with_pes(2).with_kps(kps)).unwrap();
+        let par = Run::new(&storm(), &config().with_pes(2).with_kps(kps))
+            .go()
+            .unwrap();
         assert_eq!(par.output, seq.output, "kps={kps}");
         assert_eq!(
             par.stats.events_committed, seq.stats.events_committed,
@@ -131,8 +135,10 @@ fn parallel_two_pes_matches_sequential() {
 
 #[test]
 fn parallel_four_pes_matches_sequential() {
-    let seq = run_sequential(&storm(), &config()).unwrap();
-    let par = run_parallel(&storm(), &config().with_pes(4).with_kps(16)).unwrap();
+    let seq = Run::new(&storm(), &config()).sequential().go().unwrap();
+    let par = Run::new(&storm(), &config().with_pes(4).with_kps(16))
+        .go()
+        .unwrap();
     assert_eq!(par.output, seq.output);
     assert_eq!(par.stats.events_committed, seq.stats.events_committed);
 }
@@ -141,12 +147,13 @@ fn parallel_four_pes_matches_sequential() {
 fn parallel_matches_across_seeds_and_schedulers() {
     for seed in [1u64, 2, 3, 0xDEAD] {
         let cfg = config().with_seed(seed);
-        let seq = run_sequential(&storm(), &cfg).unwrap();
+        let seq = Run::new(&storm(), &cfg).sequential().go().unwrap();
         for sched in [SchedulerKind::Heap, SchedulerKind::Splay] {
-            let par = run_parallel(
+            let par = Run::new(
                 &storm(),
                 &cfg.clone().with_pes(2).with_kps(8).with_scheduler(sched),
             )
+            .go()
             .unwrap();
             assert_eq!(par.output, seq.output, "seed={seed} sched={sched:?}");
         }
@@ -219,8 +226,10 @@ fn forced_straggler_rolls_back_and_still_matches() {
         .with_seed(42)
         .with_gvt_interval(1_000_000) // no GVT before the straggler lands
         .with_batch(100_000);
-    let seq = run_sequential(&ForcedStraggler, &cfg).unwrap();
-    let par = run_parallel(&ForcedStraggler, &cfg.clone().with_pes(2).with_kps(2)).unwrap();
+    let seq = Run::new(&ForcedStraggler, &cfg).sequential().go().unwrap();
+    let par = Run::new(&ForcedStraggler, &cfg.clone().with_pes(2).with_kps(2))
+        .go()
+        .unwrap();
     assert_eq!(par.output, seq.output);
     assert_eq!(par.stats.events_committed, seq.stats.events_committed);
     assert!(
@@ -233,12 +242,13 @@ fn forced_straggler_rolls_back_and_still_matches() {
 
 #[test]
 fn throttled_optimism_matches_sequential() {
-    let seq = run_sequential(&storm(), &config()).unwrap();
+    let seq = Run::new(&storm(), &config()).sequential().go().unwrap();
     for window in [0u64, VirtualTime::STEP, 20 * VirtualTime::STEP] {
-        let par = run_parallel(
+        let par = Run::new(
             &storm(),
             &config().with_pes(2).with_kps(8).with_lookahead(window),
         )
+        .go()
         .unwrap();
         assert_eq!(par.output, seq.output, "window={window}");
         assert_eq!(par.stats.events_committed, seq.stats.events_committed);
@@ -249,10 +259,12 @@ fn throttled_optimism_matches_sequential() {
 fn state_saving_matches_reverse_computation() {
     // The GTW-style state-saving rollback and reverse computation must be
     // observationally identical — only the undo machinery differs.
-    let seq = run_sequential(&storm(), &config()).unwrap();
+    let seq = Run::new(&storm(), &config()).sequential().go().unwrap();
     for pes in [1usize, 2, 4] {
-        let ss =
-            pdes::run_parallel_state_saving(&storm(), &config().with_pes(pes).with_kps(8)).unwrap();
+        let ss = Run::new(&storm(), &config().with_pes(pes).with_kps(8))
+            .state_saving()
+            .go()
+            .unwrap();
         assert_eq!(ss.output, seq.output, "pes={pes}");
         assert_eq!(ss.stats.events_committed, seq.stats.events_committed);
     }
@@ -264,10 +276,11 @@ fn state_saving_survives_forced_straggler() {
         .with_seed(42)
         .with_gvt_interval(1_000_000)
         .with_batch(100_000);
-    let seq = run_sequential(&ForcedStraggler, &cfg).unwrap();
-    let ss =
-        pdes::run_parallel_state_saving(&ForcedStraggler, &cfg.clone().with_pes(2).with_kps(2))
-            .unwrap();
+    let seq = Run::new(&ForcedStraggler, &cfg).sequential().go().unwrap();
+    let ss = Run::new(&ForcedStraggler, &cfg.clone().with_pes(2).with_kps(2))
+        .state_saving()
+        .go()
+        .unwrap();
     assert_eq!(ss.output, seq.output);
     assert!(ss.stats.primary_rollbacks >= 1, "stats: {:?}", ss.stats);
 }
@@ -382,12 +395,15 @@ fn run_local_cascade(echo: bool) -> RunResult<Out> {
         .with_audit(true)
         .with_gvt_interval(1_000_000)
         .with_batch(1_000_000);
-    let seq = run_sequential(&LocalCascade { echo, gate: None }, &cfg).unwrap();
+    let seq = Run::new(&LocalCascade { echo, gate: None }, &cfg)
+        .sequential()
+        .go()
+        .unwrap();
     let gated = LocalCascade {
         echo,
         gate: Some(std::sync::atomic::AtomicU64::new(0)),
     };
-    let par = run_parallel(&gated, &cfg.with_pes(2).with_kps(4)).unwrap();
+    let par = Run::new(&gated, &cfg.with_pes(2).with_kps(4)).go().unwrap();
     assert_eq!(par.output, seq.output);
     assert_eq!(par.stats.events_committed, seq.stats.events_committed);
     par
@@ -433,7 +449,9 @@ fn rollback_from_inside_execute_reaches_the_executing_events_kp() {
 
 #[test]
 fn rollback_histogram_accounts_for_all_rolled_back_events() {
-    let par = run_parallel(&storm(), &config().with_pes(4).with_kps(16)).unwrap();
+    let par = Run::new(&storm(), &config().with_pes(4).with_kps(16))
+        .go()
+        .unwrap();
     let s = &par.stats;
     let hist_rollbacks: u64 = s.rollback_lengths.iter().sum();
     assert_eq!(
@@ -448,7 +466,9 @@ fn rollback_histogram_accounts_for_all_rolled_back_events() {
 
 #[test]
 fn engine_stats_are_consistent() {
-    let par = run_parallel(&storm(), &config().with_pes(2).with_kps(8)).unwrap();
+    let par = Run::new(&storm(), &config().with_pes(2).with_kps(8))
+        .go()
+        .unwrap();
     let s = &par.stats;
     // processed = committed + rolled back (+ any still-uncommitted, which is
     // zero after termination).

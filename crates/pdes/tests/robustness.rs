@@ -92,7 +92,9 @@ fn handler_panic_is_contained_on_every_scheduler() {
         let cfg = ring_config().with_scheduler(sched);
 
         let t0 = Instant::now();
-        let err = run_parallel(&model, &cfg).expect_err("panic must not be swallowed");
+        let err = Run::new(&model, &cfg)
+            .go()
+            .expect_err("panic must not be swallowed");
         let elapsed = t0.elapsed();
         assert!(
             elapsed < Duration::from_secs(10),
@@ -136,8 +138,10 @@ fn handler_panic_is_contained_under_state_saving() {
         victim: 5,
         after: 3,
     };
-    let err =
-        run_parallel_state_saving(&model, &ring_config()).expect_err("panic must not be swallowed");
+    let err = Run::new(&model, &ring_config())
+        .state_saving()
+        .go()
+        .expect_err("panic must not be swallowed");
     assert!(matches!(err, RunError::PePanic { pe: 1, .. }), "got {err}");
 }
 
@@ -150,8 +154,8 @@ fn disarmed_panic_model_still_completes_and_matches_sequential() {
         victim: 5,
         after: 0,
     };
-    let seq = run_sequential(&model, &ring_config()).unwrap();
-    let par = run_parallel(&model, &ring_config()).unwrap();
+    let seq = Run::new(&model, &ring_config()).sequential().go().unwrap();
+    let par = Run::new(&model, &ring_config()).go().unwrap();
     assert_eq!(seq.output, par.output);
 }
 
@@ -210,7 +214,7 @@ fn gvt_stall_watchdog_aborts_with_diagnostics() {
         .with_gvt_mode(GvtMode::Barrier)
         .with_gvt_stall_rounds(Some(5));
 
-    let err = run_parallel(&model, &cfg).expect_err("watchdog must trip");
+    let err = Run::new(&model, &cfg).go().expect_err("watchdog must trip");
     match &err {
         RunError::GvtStalled {
             gvt,
@@ -245,7 +249,7 @@ fn stall_watchdog_stays_quiet_on_a_healthy_run() {
         .with_gvt_interval(1)
         .with_batch(1)
         .with_gvt_stall_rounds(Some(10_000));
-    let out = run_parallel(&model, &cfg).unwrap();
+    let out = Run::new(&model, &cfg).go().unwrap();
     assert_eq!(out.output.received, 50);
 }
 
@@ -260,7 +264,7 @@ fn wall_clock_deadline_aborts_the_run() {
     let cfg = ring_config()
         .with_gvt_interval(1)
         .with_deadline(Duration::ZERO);
-    let err = run_parallel(&model, &cfg).expect_err("deadline must trip");
+    let err = Run::new(&model, &cfg).go().expect_err("deadline must trip");
     match &err {
         RunError::GvtStalled {
             elapsed,
@@ -284,14 +288,16 @@ fn fault_injection_preserves_determinism_on_the_ring() {
         victim: 0,
         after: 0,
     };
-    let seq = run_sequential(&model, &ring_config()).unwrap();
+    let seq = Run::new(&model, &ring_config()).sequential().go().unwrap();
     let mut injected_total = 0;
     for seed in [1u64, 2, 0xFA17] {
         let plan = FaultPlan::new(seed)
             .with_delay(0.25)
             .with_duplicate(0.15)
             .with_reorder(0.5);
-        let par = run_parallel(&model, &ring_config().with_faults(plan)).unwrap();
+        let par = Run::new(&model, &ring_config().with_faults(plan))
+            .go()
+            .unwrap();
         assert_eq!(
             par.output, seq.output,
             "chaos seed {seed} changed committed output"

@@ -29,9 +29,11 @@ pub struct BlockMapping {
 impl BlockMapping {
     /// Create a block mapping for an `n × n` grid over `n_kps` KPs and
     /// `n_pes` PEs. `n_kps` is factored `kp_rows × kp_cols` as square as
-    /// possible (64 KPs → 8×8 tiles, matching the paper's default).
+    /// possible (64 KPs → 8×8 tiles, matching the paper's default). The
+    /// counts are checked by [`Mapping::validate`] when a run flattens the
+    /// mapping — after the engine config, so a config with no PEs or KPs is
+    /// a `ConfigInvalid` error rather than a panic here.
     pub fn new(n: u32, n_kps: u32, n_pes: usize) -> Self {
-        assert!(n >= 1 && n_kps >= 1 && n_pes >= 1);
         let n_kps = n_kps.min(n * n);
         // Largest divisor of n_kps that is <= sqrt(n_kps).
         let mut kp_rows = 1;
@@ -42,16 +44,13 @@ impl BlockMapping {
             }
             d += 1;
         }
-        let kp_cols = n_kps / kp_rows;
-        let m = BlockMapping {
+        BlockMapping {
             n,
             n_kps,
             n_pes,
             kp_rows,
-            kp_cols,
-        };
-        m.validate();
-        m
+            kp_cols: n_kps / kp_rows,
+        }
     }
 
     /// The KP tile grid shape `(rows, cols)`.

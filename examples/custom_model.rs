@@ -178,8 +178,12 @@ fn main() {
     let config = EngineConfig::new(VirtualTime::from_steps(300)).with_seed(0x9C5);
     println!("== PCS cellular network: 64 cells, 8 channels, 300 steps ==\n");
 
-    let seq = run_sequential(&model, &config).expect("sequential run failed");
-    let par = run_parallel(&model, &config.clone().with_pes(2).with_kps(16))
+    let seq = Run::new(&model, &config)
+        .sequential()
+        .go()
+        .expect("sequential run failed");
+    let par = Run::new(&model, &config.clone().with_pes(2).with_kps(16))
+        .go()
         .expect("parallel run failed");
 
     println!("answered : {}", seq.output.answered);

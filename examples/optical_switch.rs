@@ -11,7 +11,7 @@
 //! cargo run --release --example optical_switch
 //! ```
 
-use hotpotato::{simulate_sequential, HotPotatoConfig, HotPotatoModel, PolicyKind};
+use hotpotato::{HotPotatoConfig, HotPotatoModel, PolicyKind};
 use pdes::EngineConfig;
 
 fn main() {
@@ -39,7 +39,10 @@ fn main() {
             .with_policy(policy);
         let model = HotPotatoModel::torus(cfg);
         let engine = EngineConfig::new(model.end_time()).with_seed(0x0971CA1);
-        let net = simulate_sequential(&model, &engine)
+        let net = model
+            .run(&engine)
+            .sequential()
+            .go()
             .expect("policy run failed")
             .output;
 

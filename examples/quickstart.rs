@@ -6,7 +6,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use hotpotato::{simulate_parallel, simulate_sequential, HotPotatoConfig, HotPotatoModel};
+use hotpotato::{HotPotatoConfig, HotPotatoModel};
 use pdes::{EngineConfig, RunError};
 
 fn main() -> Result<(), RunError> {
@@ -24,10 +24,10 @@ fn main() -> Result<(), RunError> {
     // Both kernels return `Result<RunResult, RunError>`: a panicking
     // handler, a stalled GVT or an inconsistent config surfaces as a
     // structured error instead of a hung or aborted process.
-    let seq = simulate_sequential(&model, &engine)?;
+    let seq = model.run(&engine).sequential().go()?;
     report("sequential kernel", &seq);
 
-    let par = simulate_parallel(&model, &engine.clone().with_pes(2).with_kps(64))?;
+    let par = model.run(&engine.clone().with_pes(2).with_kps(64)).go()?;
     report("optimistic kernel (2 PEs, 64 KPs)", &par);
 
     assert_eq!(

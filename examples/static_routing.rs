@@ -7,7 +7,7 @@
 //! cargo run --release --example static_routing
 //! ```
 
-use hotpotato::{simulate_sequential, HotPotatoConfig, HotPotatoModel, NetStats};
+use hotpotato::{HotPotatoConfig, HotPotatoModel, NetStats};
 use pdes::EngineConfig;
 
 fn main() {
@@ -58,13 +58,19 @@ fn run_static(n: u32, steps: u64, torus: bool) -> NetStats {
     if torus {
         let model = HotPotatoModel::torus(cfg);
         let engine = EngineConfig::new(model.end_time()).with_seed(seed);
-        simulate_sequential(&model, &engine)
+        model
+            .run(&engine)
+            .sequential()
+            .go()
             .expect("static run failed")
             .output
     } else {
         let model = HotPotatoModel::mesh(cfg);
         let engine = EngineConfig::new(model.end_time()).with_seed(seed);
-        simulate_sequential(&model, &engine)
+        model
+            .run(&engine)
+            .sequential()
+            .go()
             .expect("static run failed")
             .output
     }

@@ -17,6 +17,15 @@ cargo build --release
 stage "cargo test -q"
 cargo test -q
 
+stage "examples: the public run API end to end (release)"
+# The four examples are the surface a user copies from, and each starts its
+# runs through `pdes::Run` / `HotPotatoModel::run`. quickstart and
+# custom_model assert that the sequential and parallel outputs are equal and
+# exit non-zero otherwise.
+for example in quickstart custom_model optical_switch static_routing; do
+    cargo run --release -q --example "$example" >/dev/null
+done
+
 stage "cargo test -q -p bench (shared statistics; outside default-members)"
 cargo test -q -p bench
 
@@ -221,7 +230,8 @@ printf '%-34s %6d\n' \
     "  of which sequential.rs" "$(lines crates/pdes/src/sequential.rs)" \
     "  of which parallel.rs" "$(lines crates/pdes/src/parallel.rs)" \
     "crates/pdes/src obs*" "$obs" \
-    "crates/{topo,hotpotato}/src" "$(lines crates/topo/src crates/hotpotato/src)" \
+    "crates/{pdes,hotpotato}/src" "$(lines crates/pdes/src crates/hotpotato/src)" \
+    "crates/topo/src" "$(lines crates/topo/src)" \
     "crates/bench" "$(lines crates/bench)" \
     "benchmark/src" "$(lines benchmark/src)" \
     "tests (workspace + crates/*/tests)" "$(lines tests crates/*/tests)"

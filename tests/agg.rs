@@ -7,7 +7,7 @@ use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use hotpotato::{simulate_parallel, simulate_sequential, HotPotatoConfig, HotPotatoModel};
+use hotpotato::{HotPotatoConfig, HotPotatoModel};
 use pdes::obs::json;
 use pdes::{
     EngineConfig, FaultPlan, FleetMonitor, HealthDetector, HealthPolicy, MemorySink, ObsConfig,
@@ -314,14 +314,14 @@ fn instrumented_run_registers_streams_and_rolls_up() {
                 .with_metrics_path(run_dir.join("metrics.jsonl"))
                 .with_model_label("hotpotato-8x8"),
         );
-    let par = simulate_parallel(&model, &engine).unwrap();
+    let par = model.run(&engine).go().unwrap();
 
     // Instrumentation must not perturb the committed history.
     let dark = EngineConfig::new(model.end_time())
         .with_seed(42)
         .with_pes(2)
         .with_kps(8);
-    let oracle = simulate_sequential(&model, &dark).unwrap();
+    let oracle = model.run(&dark).sequential().go().unwrap();
     assert_eq!(par.output, oracle.output);
 
     // Registry entry: validates as JSON, parses back, digest matches a
@@ -367,7 +367,7 @@ fn sequential_kernel_registers_too() {
     let engine = EngineConfig::new(model.end_time())
         .with_seed(7)
         .with_obs(ObsConfig::default().with_metrics_path(run_dir.join("metrics.jsonl")));
-    let res = simulate_sequential(&model, &engine).unwrap();
+    let res = model.run(&engine).sequential().go().unwrap();
 
     let manifest = RunManifest::load(&run_dir).unwrap();
     assert_eq!(manifest.kernel, "sequential");
@@ -409,7 +409,7 @@ fn failed_sequential_run_closes_the_stream_with_fail() {
         .with_checkpoint_every(1)
         .with_checkpoint_dir(blocker.join("ckpt"))
         .with_obs(ObsConfig::default().with_metrics_path(run_dir.join("metrics.jsonl")));
-    let err = simulate_sequential(&model, &engine).unwrap_err();
+    let err = model.run(&engine).sequential().go().unwrap_err();
     assert!(matches!(err, RunError::Checkpoint { .. }), "got {err}");
 
     let metrics = std::fs::read_to_string(run_dir.join("metrics.jsonl")).unwrap();
@@ -462,8 +462,8 @@ fn closing_heartbeat_carries_the_last_round() {
     for kernel in ["sequential", "parallel"] {
         let sink = std::sync::Arc::new(MemorySink::new(1 << 20));
         match kernel {
-            "sequential" => simulate_sequential(&model, &engine(&sink)).map(drop),
-            _ => simulate_parallel(&model, &engine(&sink)).map(drop),
+            "sequential" => model.run(&engine(&sink)).sequential().go().map(drop),
+            _ => model.run(&engine(&sink)).go().map(drop),
         }
         .unwrap();
         let hbs = sink.heartbeats();
@@ -477,7 +477,10 @@ fn closing_heartbeat_carries_the_last_round() {
     // A parallel run killed mid-flight: `fail` carries PE 0's last round.
     let sink = std::sync::Arc::new(MemorySink::new(1 << 20));
     let plan = FaultPlan::new(1).with_kill(1, 900);
-    let err = simulate_parallel(&model, &engine(&sink).with_faults(plan)).unwrap_err();
+    let err = model
+        .run(&engine(&sink).with_faults(plan))
+        .go()
+        .unwrap_err();
     assert!(matches!(err, RunError::PePanic { .. }), "got {err}");
     let hbs = sink.heartbeats();
     let last = hbs.last().unwrap();

@@ -4,13 +4,13 @@
 //! with N and strongly with load (Figure 4); plus conservation invariants
 //! no correct deflection network can violate.
 
-use hotpotato::{simulate_sequential, HotPotatoConfig, HotPotatoModel, NetStats, PolicyKind};
+use hotpotato::{HotPotatoConfig, HotPotatoModel, NetStats, PolicyKind};
 use pdes::EngineConfig;
 
 fn run(n: u32, steps: u64, frac: f64, seed: u64) -> NetStats {
     let model = HotPotatoModel::torus(HotPotatoConfig::new(n, steps).with_injectors(frac));
     let engine = EngineConfig::new(model.end_time()).with_seed(seed);
-    simulate_sequential(&model, &engine).unwrap().output
+    model.run(&engine).sequential().go().unwrap().output
 }
 
 #[test]
@@ -132,7 +132,7 @@ fn proof_mode_delivers_slower() {
     let practical = run(8, 80, 1.0, 9);
     let model = HotPotatoModel::torus(HotPotatoConfig::new(8, 80).with_absorb_sleeping(false));
     let engine = EngineConfig::new(model.end_time()).with_seed(9);
-    let proof = simulate_sequential(&model, &engine).unwrap().output;
+    let proof = model.run(&engine).sequential().go().unwrap().output;
     assert!(proof.totals.delivered < practical.totals.delivered);
 }
 
@@ -150,7 +150,7 @@ fn bhw_beats_plain_greedy_on_worst_case_wait() {
         ] {
             let model = HotPotatoModel::torus(HotPotatoConfig::new(8, 150).with_policy(policy));
             let engine = EngineConfig::new(model.end_time()).with_seed(seed);
-            let net = simulate_sequential(&model, &engine).unwrap().output;
+            let net = model.run(&engine).sequential().go().unwrap().output;
             *acc += net.totals.max_wait_steps;
         }
     }
@@ -169,8 +169,11 @@ fn heartbeats_fire_and_do_not_disturb_routing() {
     let m1 = HotPotatoModel::torus(base);
     let m2 = HotPotatoModel::torus(with_hb);
     let e1 = EngineConfig::new(m1.end_time()).with_seed(15);
-    let a = simulate_sequential(&m1, &e1).unwrap().output;
-    let b = simulate_sequential(&m2, &EngineConfig::new(m2.end_time()).with_seed(15))
+    let a = m1.run(&e1).sequential().go().unwrap().output;
+    let b = m2
+        .run(&EngineConfig::new(m2.end_time()).with_seed(15))
+        .sequential()
+        .go()
         .unwrap()
         .output;
     assert_eq!(

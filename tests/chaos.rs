@@ -4,7 +4,7 @@
 //! real hot-potato workload, and the parallel run must stay bit-identical
 //! to the sequential oracle while the counters prove the faults fired.
 
-use hotpotato::{simulate_parallel, simulate_sequential, HotPotatoConfig, HotPotatoModel};
+use hotpotato::{HotPotatoConfig, HotPotatoModel};
 use pdes::{EngineConfig, FaultPlan};
 
 fn model(n: u32, steps: u64) -> HotPotatoModel<topo::Torus> {
@@ -24,7 +24,7 @@ fn engine(m: &HotPotatoModel<topo::Torus>, seed: u64) -> EngineConfig {
 #[test]
 fn random_fault_plans_preserve_hot_potato_determinism() {
     let m = model(6, 40);
-    let seq = simulate_sequential(&m, &engine(&m, 11)).unwrap();
+    let seq = m.run(&engine(&m, 11)).sequential().go().unwrap();
 
     let mut injected = 0u64;
     let mut rollbacks = 0u64;
@@ -33,11 +33,10 @@ fn random_fault_plans_preserve_hot_potato_determinism() {
             .with_delay(0.3)
             .with_duplicate(0.2)
             .with_reorder(0.5);
-        let par = simulate_parallel(
-            &m,
-            &engine(&m, 11).with_pes(2).with_kps(8).with_faults(plan),
-        )
-        .unwrap();
+        let par = m
+            .run(&engine(&m, 11).with_pes(2).with_kps(8).with_faults(plan))
+            .go()
+            .unwrap();
         assert_eq!(
             par.output, seq.output,
             "fault seed {fault_seed:#x} changed the committed output"
@@ -56,23 +55,22 @@ fn random_fault_plans_preserve_hot_potato_determinism() {
 #[test]
 fn fault_plans_survive_pe_sweep() {
     let m = model(6, 30);
-    let seq = simulate_sequential(&m, &engine(&m, 21)).unwrap();
+    let seq = m.run(&engine(&m, 21)).sequential().go().unwrap();
     let plan = FaultPlan::new(7).with_delay(0.25).with_duplicate(0.25);
 
     for pes in [2usize, 3, 4] {
-        let par = simulate_parallel(
-            &m,
-            &engine(&m, 21).with_pes(pes).with_kps(12).with_faults(plan),
-        )
-        .unwrap();
+        let par = m
+            .run(&engine(&m, 21).with_pes(pes).with_kps(12).with_faults(plan))
+            .go()
+            .unwrap();
         assert_eq!(par.output, seq.output, "pes={pes}");
     }
 
-    let ss = hotpotato::simulate_parallel_state_saving(
-        &m,
-        &engine(&m, 21).with_pes(2).with_kps(12).with_faults(plan),
-    )
-    .unwrap();
+    let ss = m
+        .run(&engine(&m, 21).with_pes(2).with_kps(12).with_faults(plan))
+        .state_saving()
+        .go()
+        .unwrap();
     assert_eq!(ss.output, seq.output, "state-saving backend under faults");
 }
 
@@ -81,14 +79,13 @@ fn fault_plans_survive_pe_sweep() {
 #[test]
 fn single_fault_kinds_are_absorbed() {
     let m = model(6, 30);
-    let seq = simulate_sequential(&m, &engine(&m, 31)).unwrap();
+    let seq = m.run(&engine(&m, 31)).sequential().go().unwrap();
 
     let dup_only = FaultPlan::new(42).with_duplicate(0.5);
-    let par = simulate_parallel(
-        &m,
-        &engine(&m, 31).with_pes(2).with_kps(8).with_faults(dup_only),
-    )
-    .unwrap();
+    let par = m
+        .run(&engine(&m, 31).with_pes(2).with_kps(8).with_faults(dup_only))
+        .go()
+        .unwrap();
     assert_eq!(par.output, seq.output, "duplicate-only plan");
     assert!(par.stats.injected_duplicates > 0);
     assert!(
@@ -97,14 +94,15 @@ fn single_fault_kinds_are_absorbed() {
     );
 
     let delay_only = FaultPlan::new(43).with_delay(0.4);
-    let par = simulate_parallel(
-        &m,
-        &engine(&m, 31)
-            .with_pes(2)
-            .with_kps(8)
-            .with_faults(delay_only),
-    )
-    .unwrap();
+    let par = m
+        .run(
+            &engine(&m, 31)
+                .with_pes(2)
+                .with_kps(8)
+                .with_faults(delay_only),
+        )
+        .go()
+        .unwrap();
     assert_eq!(par.output, seq.output, "delay-only plan");
     assert!(par.stats.injected_delays > 0);
 }
@@ -121,8 +119,8 @@ fn fault_runs_are_reproducible() {
         .with_duplicate(0.2)
         .with_reorder(0.4);
     let cfg = engine(&m, 41).with_pes(2).with_kps(8).with_faults(plan);
-    let a = simulate_parallel(&m, &cfg).unwrap();
-    let b = simulate_parallel(&m, &cfg).unwrap();
+    let a = m.run(&cfg).go().unwrap();
+    let b = m.run(&cfg).go().unwrap();
     assert_eq!(a.output, b.output);
     assert!(a.stats.total_injected_faults() > 0);
     assert!(b.stats.total_injected_faults() > 0);

@@ -5,7 +5,7 @@
 //! bit-identical to the sequential oracle, batching or no batching, and the
 //! channel boundary must also absorb chaos-injected reordering.
 
-use hotpotato::{simulate_parallel, simulate_sequential, HotPotatoConfig, HotPotatoModel};
+use hotpotato::{HotPotatoConfig, HotPotatoModel};
 use std::sync::Arc;
 
 use pdes::{EngineConfig, FaultPlan, MemorySink, ObsConfig, SchedulerKind};
@@ -35,7 +35,7 @@ fn engine(m: &HotPotatoModel<topo::Torus>, seed: u64) -> EngineConfig {
 #[test]
 fn comm_batch_times_scheduler_matrix_matches_sequential() {
     let m = model(6, 40);
-    let seq = simulate_sequential(&m, &engine(&m, 0xC0B1)).unwrap();
+    let seq = m.run(&engine(&m, 0xC0B1)).sequential().go().unwrap();
     for comm_batch in COMM_BATCHES {
         for sched in [
             SchedulerKind::Heap,
@@ -43,15 +43,16 @@ fn comm_batch_times_scheduler_matrix_matches_sequential() {
             SchedulerKind::Calendar,
         ] {
             for pes in [2usize, 4] {
-                let par = simulate_parallel(
-                    &m,
-                    &engine(&m, 0xC0B1)
-                        .with_scheduler(sched)
-                        .with_comm_batch(comm_batch)
-                        .with_pes(pes)
-                        .with_kps(12),
-                )
-                .unwrap();
+                let par = m
+                    .run(
+                        &engine(&m, 0xC0B1)
+                            .with_scheduler(sched)
+                            .with_comm_batch(comm_batch)
+                            .with_pes(pes)
+                            .with_kps(12),
+                    )
+                    .go()
+                    .unwrap();
                 assert_eq!(
                     par.output, seq.output,
                     "comm_batch={comm_batch:?} scheduler={sched:?} pes={pes}"
@@ -70,14 +71,15 @@ fn comm_counters_reflect_batching() {
     let m = model(6, 60);
     let mut mean_at = Vec::new();
     for comm_batch in [Some(1), Some(8)] {
-        let par = simulate_parallel(
-            &m,
-            &engine(&m, 0xC0B2)
-                .with_comm_batch(comm_batch)
-                .with_pes(2)
-                .with_kps(8),
-        )
-        .unwrap();
+        let par = m
+            .run(
+                &engine(&m, 0xC0B2)
+                    .with_comm_batch(comm_batch)
+                    .with_pes(2)
+                    .with_kps(8),
+            )
+            .go()
+            .unwrap();
         assert!(par.stats.batches_flushed > 0, "comm fabric never used");
         assert!(par.stats.batched_messages >= par.stats.batches_flushed);
         if let Some(limit) = comm_batch {
@@ -101,19 +103,20 @@ fn comm_counters_reflect_batching() {
 #[test]
 fn chaos_reordering_at_the_channel_boundary_is_absorbed() {
     let m = model(6, 40);
-    let seq = simulate_sequential(&m, &engine(&m, 0xC0B3)).unwrap();
+    let seq = m.run(&engine(&m, 0xC0B3)).sequential().go().unwrap();
     let mut reorders = 0u64;
     for comm_batch in COMM_BATCHES {
         let plan = FaultPlan::new(0xF00D).with_reorder(0.6).with_delay(0.2);
-        let par = simulate_parallel(
-            &m,
-            &engine(&m, 0xC0B3)
-                .with_comm_batch(comm_batch)
-                .with_pes(3)
-                .with_kps(9)
-                .with_faults(plan),
-        )
-        .unwrap();
+        let par = m
+            .run(
+                &engine(&m, 0xC0B3)
+                    .with_comm_batch(comm_batch)
+                    .with_pes(3)
+                    .with_kps(9)
+                    .with_faults(plan),
+            )
+            .go()
+            .unwrap();
         assert_eq!(
             par.output, seq.output,
             "comm_batch={comm_batch:?} under reordering chaos"
@@ -128,8 +131,11 @@ fn chaos_reordering_at_the_channel_boundary_is_absorbed() {
 #[test]
 fn pooling_recycles_and_preserves_output() {
     let m = model(6, 60);
-    let seq = simulate_sequential(&m, &engine(&m, 0xC0B4)).unwrap();
-    let par = simulate_parallel(&m, &engine(&m, 0xC0B4).with_pes(2).with_kps(8)).unwrap();
+    let seq = m.run(&engine(&m, 0xC0B4)).sequential().go().unwrap();
+    let par = m
+        .run(&engine(&m, 0xC0B4).with_pes(2).with_kps(8))
+        .go()
+        .unwrap();
     assert_eq!(par.output, seq.output);
     assert!(
         par.stats.pool_hits > 0,

@@ -7,10 +7,7 @@
 //! the aggregated network statistics with `==` — every counter, not an
 //! approximation.
 
-use hotpotato::{
-    simulate_parallel, simulate_parallel_state_saving, simulate_sequential, HotPotatoConfig,
-    HotPotatoModel, PolicyKind,
-};
+use hotpotato::{HotPotatoConfig, HotPotatoModel, PolicyKind};
 use std::sync::Arc;
 
 use pdes::{EngineConfig, MemorySink, ObsConfig, SchedulerKind};
@@ -27,9 +24,12 @@ fn engine(model: &HotPotatoModel<topo::Torus>, seed: u64) -> EngineConfig {
 #[test]
 fn parallel_equals_sequential_default_config() {
     let model = HotPotatoModel::torus(HotPotatoConfig::new(8, 60));
-    let seq = simulate_sequential(&model, &engine(&model, 1)).unwrap();
+    let seq = model.run(&engine(&model, 1)).sequential().go().unwrap();
     for pes in [1usize, 2, 4] {
-        let par = simulate_parallel(&model, &engine(&model, 1).with_pes(pes).with_kps(16)).unwrap();
+        let par = model
+            .run(&engine(&model, 1).with_pes(pes).with_kps(16))
+            .go()
+            .unwrap();
         assert_eq!(par.output, seq.output, "pes={pes}");
         assert_eq!(
             par.stats.events_committed, seq.stats.events_committed,
@@ -41,9 +41,12 @@ fn parallel_equals_sequential_default_config() {
 #[test]
 fn parallel_equals_sequential_across_kp_counts() {
     let model = HotPotatoModel::torus(HotPotatoConfig::new(8, 40));
-    let seq = simulate_sequential(&model, &engine(&model, 2)).unwrap();
+    let seq = model.run(&engine(&model, 2)).sequential().go().unwrap();
     for kps in [2u32, 4, 8, 16, 64] {
-        let par = simulate_parallel(&model, &engine(&model, 2).with_pes(2).with_kps(kps)).unwrap();
+        let par = model
+            .run(&engine(&model, 2).with_pes(2).with_kps(kps))
+            .go()
+            .unwrap();
         assert_eq!(par.output, seq.output, "kps={kps}");
     }
 }
@@ -51,15 +54,18 @@ fn parallel_equals_sequential_across_kp_counts() {
 #[test]
 fn parallel_equals_sequential_with_every_scheduler() {
     let model = HotPotatoModel::torus(HotPotatoConfig::new(8, 40));
-    let reference = simulate_sequential(&model, &engine(&model, 3)).unwrap();
+    let reference = model.run(&engine(&model, 3)).sequential().go().unwrap();
     for sched in [
         SchedulerKind::Heap,
         SchedulerKind::Splay,
         SchedulerKind::Calendar,
     ] {
         let base = engine(&model, 3).with_scheduler(sched);
-        let seq = simulate_sequential(&model, &base).unwrap();
-        let par = simulate_parallel(&model, &base.clone().with_pes(2).with_kps(8)).unwrap();
+        let seq = model.run(&base).sequential().go().unwrap();
+        let par = model
+            .run(&base.clone().with_pes(2).with_kps(8))
+            .go()
+            .unwrap();
         assert_eq!(seq.output, reference.output, "sequential {sched:?}");
         assert_eq!(par.output, reference.output, "parallel {sched:?}");
     }
@@ -74,8 +80,11 @@ fn parallel_equals_sequential_all_policies() {
         PolicyKind::DimOrder,
     ] {
         let model = HotPotatoModel::torus(HotPotatoConfig::new(8, 30).with_policy(policy));
-        let seq = simulate_sequential(&model, &engine(&model, 4)).unwrap();
-        let par = simulate_parallel(&model, &engine(&model, 4).with_pes(2).with_kps(8)).unwrap();
+        let seq = model.run(&engine(&model, 4)).sequential().go().unwrap();
+        let par = model
+            .run(&engine(&model, 4).with_pes(2).with_kps(8))
+            .go()
+            .unwrap();
         assert_eq!(par.output, seq.output, "policy={policy:?}");
     }
 }
@@ -88,8 +97,11 @@ fn parallel_equals_sequential_proof_mode_and_loads() {
                 .with_injectors(frac)
                 .with_absorb_sleeping(absorb),
         );
-        let seq = simulate_sequential(&model, &engine(&model, 5)).unwrap();
-        let par = simulate_parallel(&model, &engine(&model, 5).with_pes(2).with_kps(8)).unwrap();
+        let seq = model.run(&engine(&model, 5)).sequential().go().unwrap();
+        let par = model
+            .run(&engine(&model, 5).with_pes(2).with_kps(8))
+            .go()
+            .unwrap();
         assert_eq!(par.output, seq.output, "frac={frac} absorb={absorb}");
     }
 }
@@ -97,8 +109,15 @@ fn parallel_equals_sequential_proof_mode_and_loads() {
 #[test]
 fn mesh_topology_is_deterministic_too() {
     let model = HotPotatoModel::mesh(HotPotatoConfig::new(8, 40));
-    let seq = simulate_sequential(&model, &engine_mesh(&model, 6)).unwrap();
-    let par = simulate_parallel(&model, &engine_mesh(&model, 6).with_pes(2).with_kps(8)).unwrap();
+    let seq = model
+        .run(&engine_mesh(&model, 6))
+        .sequential()
+        .go()
+        .unwrap();
+    let par = model
+        .run(&engine_mesh(&model, 6).with_pes(2).with_kps(8))
+        .go()
+        .unwrap();
     assert_eq!(par.output, seq.output);
 }
 
@@ -109,8 +128,14 @@ fn engine_mesh(model: &HotPotatoModel<topo::Mesh>, seed: u64) -> EngineConfig {
 #[test]
 fn repeated_runs_are_identical() {
     let model = HotPotatoModel::torus(HotPotatoConfig::new(8, 40));
-    let a = simulate_parallel(&model, &engine(&model, 7).with_pes(2).with_kps(8)).unwrap();
-    let b = simulate_parallel(&model, &engine(&model, 7).with_pes(2).with_kps(8)).unwrap();
+    let a = model
+        .run(&engine(&model, 7).with_pes(2).with_kps(8))
+        .go()
+        .unwrap();
+    let b = model
+        .run(&engine(&model, 7).with_pes(2).with_kps(8))
+        .go()
+        .unwrap();
     assert_eq!(a.output, b.output);
 }
 
@@ -118,28 +143,29 @@ fn repeated_runs_are_identical() {
 fn different_seeds_differ() {
     // Sanity: the equality above is not vacuous.
     let model = HotPotatoModel::torus(HotPotatoConfig::new(8, 40));
-    let a = simulate_sequential(&model, &engine(&model, 8)).unwrap();
-    let b = simulate_sequential(&model, &engine(&model, 9)).unwrap();
+    let a = model.run(&engine(&model, 8)).sequential().go().unwrap();
+    let b = model.run(&engine(&model, 9)).sequential().go().unwrap();
     assert_ne!(a.output, b.output);
 }
 
 #[test]
 fn gvt_interval_does_not_change_results() {
     let model = HotPotatoModel::torus(HotPotatoConfig::new(8, 40));
-    let seq = simulate_sequential(&model, &engine(&model, 10)).unwrap();
+    let seq = model.run(&engine(&model, 10)).sequential().go().unwrap();
     assert_eq!(
         seq.output.totals.stalls, 0,
         "sequential runs can never stall"
     );
     for interval in [64u64, 1024, 100_000] {
-        let par = simulate_parallel(
-            &model,
-            &engine(&model, 10)
-                .with_pes(2)
-                .with_kps(8)
-                .with_gvt_interval(interval),
-        )
-        .unwrap();
+        let par = model
+            .run(
+                &engine(&model, 10)
+                    .with_pes(2)
+                    .with_kps(8)
+                    .with_gvt_interval(interval),
+            )
+            .go()
+            .unwrap();
         assert_eq!(par.output, seq.output, "gvt_interval={interval}");
         // Transient stalls (causally-inconsistent over-subscription) must
         // all have been rolled back before commit.
@@ -155,16 +181,17 @@ fn unbounded_optimism_still_matches_sequential() {
     // The regression scenario for the transient-duplicate race: a huge GVT
     // interval lets stale branches race far ahead of their cancellations.
     let model = HotPotatoModel::torus(HotPotatoConfig::new(8, 60));
-    let seq = simulate_sequential(&model, &engine(&model, 11)).unwrap();
+    let seq = model.run(&engine(&model, 11)).sequential().go().unwrap();
     for trial in 0..5 {
-        let par = simulate_parallel(
-            &model,
-            &engine(&model, 11)
-                .with_pes(2)
-                .with_kps(8)
-                .with_gvt_interval(1_000_000),
-        )
-        .unwrap();
+        let par = model
+            .run(
+                &engine(&model, 11)
+                    .with_pes(2)
+                    .with_kps(8)
+                    .with_gvt_interval(1_000_000),
+            )
+            .go()
+            .unwrap();
         assert_eq!(par.output, seq.output, "trial {trial}");
         assert_eq!(par.output.totals.stalls, 0, "trial {trial}");
     }
@@ -175,11 +202,13 @@ fn state_saving_rollback_matches_sequential() {
     // GTW-style state saving (ablation E12) must commit exactly the same
     // history as reverse computation and the sequential oracle.
     let model = HotPotatoModel::torus(HotPotatoConfig::new(8, 40));
-    let seq = simulate_sequential(&model, &engine(&model, 13)).unwrap();
+    let seq = model.run(&engine(&model, 13)).sequential().go().unwrap();
     for pes in [2usize, 4] {
-        let ss =
-            simulate_parallel_state_saving(&model, &engine(&model, 13).with_pes(pes).with_kps(16))
-                .unwrap();
+        let ss = model
+            .run(&engine(&model, 13).with_pes(pes).with_kps(16))
+            .state_saving()
+            .go()
+            .unwrap();
         assert_eq!(ss.output, seq.output, "pes={pes}");
         assert_eq!(ss.output.totals.stalls, 0);
     }
@@ -188,15 +217,16 @@ fn state_saving_rollback_matches_sequential() {
 #[test]
 fn throttled_optimism_matches_sequential_hotpotato() {
     let model = HotPotatoModel::torus(HotPotatoConfig::new(8, 40));
-    let seq = simulate_sequential(&model, &engine(&model, 12)).unwrap();
-    let par = simulate_parallel(
-        &model,
-        &engine(&model, 12)
-            .with_pes(2)
-            .with_kps(8)
-            .with_lookahead(2 * pdes::VirtualTime::STEP),
-    )
-    .unwrap();
+    let seq = model.run(&engine(&model, 12)).sequential().go().unwrap();
+    let par = model
+        .run(
+            &engine(&model, 12)
+                .with_pes(2)
+                .with_kps(8)
+                .with_lookahead(2 * pdes::VirtualTime::STEP),
+        )
+        .go()
+        .unwrap();
     assert_eq!(par.output, seq.output);
 }
 
@@ -220,10 +250,10 @@ fn continuity_scenario_matches_pre_arena_golden_output() {
     let cfg = engine(&model, 0xBE9C_0702)
         .with_kps(64)
         .with_lookahead(model.natural_lookahead());
-    // `simulate_*` are `run_sequential` / `run_parallel_mapped` on the
-    // model's block mapping.
-    let seq = simulate_sequential(&model, &cfg).unwrap();
-    let par = simulate_parallel(&model, &cfg.clone().with_pes(4)).unwrap();
+    // `model.run` sets the model's block mapping; the sequential kernel
+    // ignores it.
+    let seq = model.run(&cfg).sequential().go().unwrap();
+    let par = model.run(&cfg.clone().with_pes(4)).go().unwrap();
     for (kernel, run) in [("sequential", &seq), ("parallel 4 PE", &par)] {
         assert_eq!(run.stats.events_committed, GOLDEN_COMMITTED, "{kernel}");
         assert_eq!(format!("{:?}", run.output), GOLDEN_OUTPUT, "{kernel}");
@@ -237,8 +267,11 @@ fn continuity_scenario_matches_pre_arena_golden_output() {
 fn audit_fast_tier_matches_sequential() {
     let model = HotPotatoModel::torus(HotPotatoConfig::new(8, 40));
     let fast = engine(&model, 13).with_audit(true).with_audit_probe(false);
-    let seq = simulate_sequential(&model, &fast).unwrap();
-    let par = simulate_parallel(&model, &fast.clone().with_pes(2).with_kps(8)).unwrap();
+    let seq = model.run(&fast).sequential().go().unwrap();
+    let par = model
+        .run(&fast.clone().with_pes(2).with_kps(8))
+        .go()
+        .unwrap();
     assert_eq!(par.output, seq.output);
     assert_eq!(par.stats.events_committed, seq.stats.events_committed);
 }

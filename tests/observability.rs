@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use hotpotato::{simulate_parallel, simulate_sequential, HotPotatoConfig, HotPotatoModel};
+use hotpotato::{HotPotatoConfig, HotPotatoModel};
 use pdes::obs::{chrome, json};
 use pdes::{EngineConfig, FaultPlan, MemorySink, ObsCategory, ObsConfig, RoundSnapshot, Telemetry};
 
@@ -33,7 +33,7 @@ fn chaos_storm_with_tiny_recorder_stays_bounded_and_deterministic() {
     const SERIES_CAP: usize = 16;
 
     let m = model(6, 60);
-    let seq = simulate_sequential(&m, &engine(&m, 0x0B5)).unwrap();
+    let seq = m.run(&engine(&m, 0x0B5)).sequential().go().unwrap();
 
     let sink = Arc::new(MemorySink::new(8));
     let plan = FaultPlan::new(0xF00D)
@@ -44,15 +44,16 @@ fn chaos_storm_with_tiny_recorder_stays_bounded_and_deterministic() {
         .with_recorder_capacity(RECORDER_CAP)
         .with_series_capacity(SERIES_CAP)
         .with_sink(sink.clone());
-    let par = simulate_parallel(
-        &m,
-        &engine(&m, 0x0B5)
-            .with_pes(4)
-            .with_kps(12)
-            .with_faults(plan)
-            .with_obs(obs),
-    )
-    .unwrap();
+    let par = m
+        .run(
+            &engine(&m, 0x0B5)
+                .with_pes(4)
+                .with_kps(12)
+                .with_faults(plan)
+                .with_obs(obs),
+        )
+        .go()
+        .unwrap();
 
     // Passive: observation changed nothing the model committed.
     assert_eq!(
@@ -99,14 +100,15 @@ fn chaos_storm_with_tiny_recorder_stays_bounded_and_deterministic() {
 #[test]
 fn round_snapshots_are_monotonic_per_pe() {
     let m = model(6, 50);
-    let par = simulate_parallel(
-        &m,
-        &engine(&m, 0xA11)
-            .with_pes(2)
-            .with_kps(8)
-            .with_obs(ObsConfig::verbose()),
-    )
-    .unwrap();
+    let par = m
+        .run(
+            &engine(&m, 0xA11)
+                .with_pes(2)
+                .with_kps(8)
+                .with_obs(ObsConfig::verbose()),
+        )
+        .go()
+        .unwrap();
     let t = &par.telemetry;
     assert!(t.n_pes() == 2 && !t.rounds.is_empty());
     for pe in 0..2 {
@@ -133,7 +135,7 @@ fn round_snapshots_are_monotonic_per_pe() {
 fn sequential_kernel_produces_telemetry() {
     let m = model(6, 50);
     let cfg = engine(&m, 0x5E9).with_obs(ObsConfig::verbose());
-    let seq = simulate_sequential(&m, &cfg).unwrap();
+    let seq = m.run(&cfg).sequential().go().unwrap();
     let t = &seq.telemetry;
     assert_eq!(t.n_pes(), 1);
     assert!(!t.rounds.is_empty(), "sequential run produced no snapshots");
@@ -153,8 +155,10 @@ fn category_mask_filters_kernel_records() {
     let m = model(6, 30);
     let obs =
         ObsConfig::verbose().with_categories(pdes::CategoryMask::NONE.with(ObsCategory::Model));
-    let par =
-        simulate_parallel(&m, &engine(&m, 0xCA7).with_pes(2).with_kps(8).with_obs(obs)).unwrap();
+    let par = m
+        .run(&engine(&m, 0xCA7).with_pes(2).with_kps(8).with_obs(obs))
+        .go()
+        .unwrap();
     for r in &par.telemetry.recorders {
         assert!(
             r.recorded > 0,
@@ -165,14 +169,15 @@ fn category_mask_filters_kernel_records() {
 
     // The same run with the Model category excluded records kernel events
     // but no notes — so strictly more with everything enabled.
-    let all = simulate_parallel(
-        &m,
-        &engine(&m, 0xCA7)
-            .with_pes(2)
-            .with_kps(8)
-            .with_obs(ObsConfig::verbose()),
-    )
-    .unwrap();
+    let all = m
+        .run(
+            &engine(&m, 0xCA7)
+                .with_pes(2)
+                .with_kps(8)
+                .with_obs(ObsConfig::verbose()),
+        )
+        .go()
+        .unwrap();
     let notes_only: u64 = par.telemetry.recorders.iter().map(|r| r.recorded).sum();
     let everything: u64 = all.telemetry.recorders.iter().map(|r| r.recorded).sum();
     assert!(
@@ -186,14 +191,15 @@ fn category_mask_filters_kernel_records() {
 #[test]
 fn exporters_write_valid_files_from_real_run() {
     let m = model(6, 40);
-    let par = simulate_parallel(
-        &m,
-        &engine(&m, 0xE4)
-            .with_pes(2)
-            .with_kps(8)
-            .with_obs(ObsConfig::verbose()),
-    )
-    .unwrap();
+    let par = m
+        .run(
+            &engine(&m, 0xE4)
+                .with_pes(2)
+                .with_kps(8)
+                .with_obs(ObsConfig::verbose()),
+        )
+        .go()
+        .unwrap();
     let t: &Telemetry = &par.telemetry;
 
     let dir = std::env::temp_dir();

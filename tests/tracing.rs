@@ -7,7 +7,7 @@
 //! it.
 
 use hotpotato::model::hops;
-use hotpotato::{simulate_parallel, simulate_sequential, HotPotatoConfig, HotPotatoModel};
+use hotpotato::{HotPotatoConfig, HotPotatoModel};
 use pdes::{EngineConfig, FaultPlan, ObsConfig, SchedulerKind, TRACE_UNBOUNDED};
 
 fn model(n: u32, steps: u64) -> HotPotatoModel<topo::Torus> {
@@ -25,7 +25,7 @@ fn engine(m: &HotPotatoModel<topo::Torus>, seed: u64) -> EngineConfig {
 #[test]
 fn committed_trace_matches_sequential_oracle_under_chaos() {
     let m = model(6, 60);
-    let seq = simulate_sequential(&m, &engine(&m, 0x7ACE)).unwrap();
+    let seq = m.run(&engine(&m, 0x7ACE)).sequential().go().unwrap();
     let oracle = seq.telemetry.trace.to_jsonl();
     assert_eq!(seq.telemetry.trace.dropped, 0);
     assert!(
@@ -44,15 +44,16 @@ fn committed_trace_matches_sequential_oracle_under_chaos() {
             SchedulerKind::Splay,
             SchedulerKind::Calendar,
         ] {
-            let par = simulate_parallel(
-                &m,
-                &engine(&m, 0x7ACE)
-                    .with_pes(pes)
-                    .with_kps(3 * pes as u32)
-                    .with_faults(plan)
-                    .with_scheduler(sched),
-            )
-            .unwrap();
+            let par = m
+                .run(
+                    &engine(&m, 0x7ACE)
+                        .with_pes(pes)
+                        .with_kps(3 * pes as u32)
+                        .with_faults(plan)
+                        .with_scheduler(sched),
+                )
+                .go()
+                .unwrap();
             assert_eq!(
                 par.telemetry.trace.dropped, 0,
                 "{pes} PEs / {sched:?}: hops dropped"
@@ -72,7 +73,7 @@ fn committed_trace_matches_sequential_oracle_under_chaos() {
 #[test]
 fn trace_reconstructs_model_counters_exactly() {
     let m = model(5, 80);
-    let r = simulate_sequential(&m, &engine(&m, 0xBEEF)).unwrap();
+    let r = m.run(&engine(&m, 0xBEEF)).sequential().go().unwrap();
     let trace = &r.telemetry.trace;
     assert_eq!(trace.dropped, 0);
 
@@ -123,17 +124,19 @@ fn capacity_cap_and_default_off() {
         .with_seed(3)
         .with_gvt_interval(32);
 
-    let off = simulate_sequential(&m, &base).unwrap();
+    let off = m.run(&base).sequential().go().unwrap();
     assert!(off.telemetry.trace.is_empty(), "tracing must be opt-in");
     assert_eq!(off.telemetry.trace.dropped, 0);
 
-    let capped = simulate_sequential(
-        &m,
-        &base
-            .clone()
-            .with_obs(ObsConfig::default().with_packet_trace(64)),
-    )
-    .unwrap();
+    let capped = m
+        .run(
+            &base
+                .clone()
+                .with_obs(ObsConfig::default().with_packet_trace(64)),
+        )
+        .sequential()
+        .go()
+        .unwrap();
     assert_eq!(capped.telemetry.trace.len(), 64);
     assert!(capped.telemetry.trace.dropped > 0);
 }

@@ -5,10 +5,10 @@
 //! committed output must stay bit-identical to the sequential oracle under
 //! both GVT protocols and across a checkpoint taken mid-run.
 
-use hotpotato::{simulate_sequential, HotPotatoConfig, HotPotatoModel};
+use hotpotato::{HotPotatoConfig, HotPotatoModel};
 use pdes::{
-    list_snapshots, read_snapshot, run_parallel_mapped, EngineConfig, FaultPlan, GvtMode, KpId,
-    LpId, Mapping, PeId, VirtualTime,
+    list_snapshots, read_snapshot, EngineConfig, FaultPlan, GvtMode, KpId, LpId, Mapping, PeId,
+    Run, VirtualTime,
 };
 
 /// `(row + col) mod 2` picks the PE of an `n × n` grid (`n` even), so every
@@ -62,10 +62,10 @@ fn adverse(m: &HotPotatoModel<topo::Torus>, seed: u64) -> EngineConfig {
 fn narrowing_window_commits_the_oracle_under_both_gvt_protocols() {
     let m = model(60);
     for seed in [5u64, 6] {
-        let oracle = simulate_sequential(&m, &adverse(&m, seed)).unwrap();
+        let oracle = m.run(&adverse(&m, seed)).sequential().go().unwrap();
         for mode in [GvtMode::Incremental, GvtMode::Barrier] {
             let cfg = adverse(&m, seed).with_gvt_mode(mode);
-            let par = run_parallel_mapped(&m, &cfg, &MAPPING).unwrap();
+            let par = Run::new(&m, &cfg).mapping(&MAPPING).go().unwrap();
             assert_eq!(par.output, oracle.output, "seed={seed} {mode:?}");
             assert_eq!(
                 par.stats.events_committed, oracle.stats.events_committed,
@@ -97,9 +97,13 @@ fn resume_from_a_snapshot_taken_under_a_narrowed_window_matches_the_oracle() {
     let cfg = adverse(&m, 9)
         .with_checkpoint_every(100)
         .with_checkpoint_dir(&dir);
-    let oracle = simulate_sequential(&m, &cfg.clone().without_checkpoints()).unwrap();
+    let oracle = m
+        .run(&cfg.clone().without_checkpoints())
+        .sequential()
+        .go()
+        .unwrap();
 
-    let full = run_parallel_mapped(&m, &cfg, &MAPPING).unwrap();
+    let full = Run::new(&m, &cfg).mapping(&MAPPING).go().unwrap();
     assert_eq!(full.output, oracle.output);
     assert!(full.stats.events_rolled_back > 0, "{:?}", full.stats);
     let snaps = list_snapshots(&dir);
@@ -107,13 +111,11 @@ fn resume_from_a_snapshot_taken_under_a_narrowed_window_matches_the_oracle() {
 
     for path in &snaps {
         let snap = read_snapshot(path).unwrap();
-        let resumed = pdes::parallel::run_resumed_mapped(
-            &m,
-            &cfg.clone().without_checkpoints(),
-            &MAPPING,
-            &snap,
-        )
-        .unwrap();
+        let resumed = Run::new(&m, &cfg.clone().without_checkpoints())
+            .mapping(&MAPPING)
+            .resume(&snap)
+            .go()
+            .unwrap();
         assert_eq!(resumed.output, oracle.output, "resumed from {path:?}");
     }
     let _ = std::fs::remove_dir_all(&dir);
