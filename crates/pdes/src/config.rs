@@ -12,22 +12,19 @@ use crate::time::VirtualTime;
 /// How the parallel kernel computes GVT.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum GvtMode {
-    /// Incremental (barrier-light) unless the run checkpoints — snapshot
+    /// Mattern-style two-cut incremental reduction — PE 0 opens an epoch,
+    /// each PE asynchronously flushes, drains, and publishes
+    /// `min(queue, held, sent-window)`, PE 0 folds the reports wait-free;
+    /// no barrier, no settle loop — unless the run checkpoints: snapshot
     /// frames need the barriered round's sequential-frame quiescence, so
-    /// checkpointing runs fall back to [`Barrier`](GvtMode::Barrier). This
-    /// is the default; `PDES_GVT=barrier|incremental` overrides it.
+    /// checkpointing runs use [`Barrier`](GvtMode::Barrier). This is the
+    /// default; `PDES_GVT=barrier` overrides it.
     #[default]
     Auto,
     /// Classic Fujimoto-style barriered reduction: every round, all PEs
     /// rendezvous, settle in-flight messages to quiescence, and publish
     /// minima. Required for checkpoint frames.
     Barrier,
-    /// Mattern-style two-cut incremental reduction: PE 0 opens an epoch,
-    /// each PE asynchronously flushes, drains, and publishes
-    /// `min(queue, held, sent-window)`; PE 0 folds the reports wait-free.
-    /// No barrier, no settle loop. Incompatible with checkpointing
-    /// (rejected by [`EngineConfig::validate`]).
-    Incremental,
 }
 
 /// Tunables shared by both kernels. Construct with [`EngineConfig::new`] and
@@ -124,7 +121,7 @@ pub struct EngineConfig {
     /// [`with_checkpoint_dir`](Self::with_checkpoint_dir).
     pub checkpoint_dir: PathBuf,
     /// GVT protocol selection (see [`GvtMode`]). Seeded from `PDES_GVT`
-    /// (`barrier`, `incremental`, or `auto`); override with
+    /// (`barrier` or `auto`); override with
     /// [`with_gvt_mode`](Self::with_gvt_mode).
     pub gvt_mode: GvtMode,
     /// Per-PE event-arena capacity in slots (`None` =
@@ -360,12 +357,6 @@ impl EngineConfig {
                 "checkpoint_every must be >= 1 (or None to disable)",
             ));
         }
-        if self.gvt_mode == GvtMode::Incremental && self.checkpoint_every.is_some() {
-            return Err(RunError::config(
-                "incremental GVT has no quiescent frames to checkpoint from; \
-                 use GvtMode::Auto or Barrier with checkpointing",
-            ));
-        }
         if self.arena_slots == Some(0) {
             return Err(RunError::config(
                 "arena_slots must be >= 1 (or None for the default)",
@@ -379,7 +370,6 @@ impl EngineConfig {
     pub(crate) fn barriered_gvt(&self) -> bool {
         match self.gvt_mode {
             GvtMode::Barrier => true,
-            GvtMode::Incremental => false,
             GvtMode::Auto => self.checkpoint_every.is_some(),
         }
     }
@@ -470,17 +460,7 @@ mod tests {
             .with_gvt_mode(GvtMode::Barrier)
             .without_checkpoints()
             .barriered_gvt());
-        let inc = c
-            .clone()
-            .without_checkpoints()
-            .with_gvt_mode(GvtMode::Incremental);
-        assert!(!inc.barriered_gvt());
-        assert!(inc.validate().is_ok());
-        // Explicit incremental + checkpointing is contradictory.
-        let bad = c
-            .with_gvt_mode(GvtMode::Incremental)
-            .with_checkpoint_every(4);
-        assert!(bad.validate().is_err());
+        assert!(c.with_checkpoint_every(4).validate().is_ok());
     }
 
     #[test]

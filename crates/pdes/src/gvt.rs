@@ -27,8 +27,9 @@ use std::sync::atomic::Ordering::{Acquire, Relaxed, Release, SeqCst};
 
 use crate::sync::{CachePadded, MAtomicBool, MAtomicU64};
 
-/// Shared state of the incremental GVT protocol (plus the published GVT and
-/// the round-request flag, which the barriered protocol reuses).
+/// Shared state of the incremental GVT protocol (plus the published GVT, the
+/// round-request flag and the report slots, which the barriered protocol
+/// reuses).
 pub(crate) struct IncGvt {
     /// Last computed GVT (ticks). Written only by PE 0; read by everyone.
     gvt: MAtomicU64,
@@ -38,7 +39,8 @@ pub(crate) struct IncGvt {
     /// observing `epoch` past its own last-participated round reports
     /// asynchronously — no barrier.
     epoch: MAtomicU64,
-    /// Per-PE published minimum for the open epoch (ticks).
+    /// Per-PE published minimum for the open epoch, or for the current
+    /// barriered round (ticks).
     reports: Vec<CachePadded<MAtomicU64>>,
     /// Epoch each PE's report corresponds to; PE 0 closes the round once
     /// every slot reaches the current epoch (release/acquire pairs with the
@@ -161,21 +163,44 @@ impl IncGvt {
         if !all_in {
             return None;
         }
-        let m = self
-            .reports
-            .iter()
-            // ORDER: Relaxed — the Acquire pass above already ordered these
-            // stores before this load.
-            .map(|r| r.0.load(Relaxed))
-            .min()
-            .unwrap_or(u64::MAX);
         // `max`: a report can be conservative (stale send_min), and the
         // published GVT must never move backwards.
         // ORDER: SeqCst — see `read`.
-        let gvt = self.gvt.load(SeqCst).max(m);
+        let gvt = self.gvt.load(SeqCst).max(self.min_report());
         // ORDER: SeqCst — see `publish`.
         self.gvt.store(gvt, SeqCst);
         Some(gvt)
+    }
+
+    /// Barriered protocol: publish `pe`'s minimum for the current round
+    /// into its report slot, between the two barriers that close the
+    /// round's quiescence check.
+    #[inline]
+    pub(crate) fn publish_min(&self, pe: usize, min: u64) {
+        // ORDER: Relaxed — every reader loads it after the barrier that
+        // follows this store; the barrier's mutex orders the two.
+        self.reports[pe].0.store(min, Relaxed);
+    }
+
+    /// `pe`'s last published report (telemetry: the PE's LVT for a round).
+    #[inline]
+    pub(crate) fn report(&self, pe: usize) -> u64 {
+        // ORDER: Relaxed — read back by the PE that stored it.
+        self.reports[pe].0.load(Relaxed)
+    }
+
+    /// The minimum over every PE's report slot. The caller must already be
+    /// ordered after every store it folds: `try_close` by its Acquire pass
+    /// over the round slots, the barriered protocol by the barrier after
+    /// [`publish_min`](Self::publish_min).
+    #[inline]
+    pub(crate) fn min_report(&self) -> u64 {
+        self.reports
+            .iter()
+            // ORDER: Relaxed — ordered by the caller (see above).
+            .map(|r| r.0.load(Relaxed))
+            .min()
+            .unwrap_or(u64::MAX)
     }
 }
 

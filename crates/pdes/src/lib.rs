@@ -13,8 +13,9 @@
 //! * **Processing elements (PEs)** are worker threads executing events
 //!   optimistically; stragglers and anti-messages trigger rollbacks
 //!   ([`parallel`]).
-//! * **GVT** (global virtual time) is computed with a Fujimoto-style
-//!   shared-memory reduction, after which events are committed and
+//! * **GVT** (global virtual time) is computed by a barrier-free Mattern
+//!   two-cut reduction (a Fujimoto-style barriered one when the run
+//!   checkpoints; see [`GvtMode`]), after which events are committed and
 //!   fossil-collected.
 //! * **Reversible RNG** streams ([`rng`]) let rollbacks un-step every random
 //!   draw exactly (ROSS's `tw_rand_reverse_unif`).

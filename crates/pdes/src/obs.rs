@@ -1139,16 +1139,15 @@ fn parse_env_audit(name: &str, val: &str) -> Option<(bool, bool)> {
     }
 }
 
-/// `PDES_GVT` value: `auto`, `barrier`, or `incremental`. Anything else
-/// warns and yields `None` (caller falls back to `Auto`).
+/// `PDES_GVT` value: `auto` or `barrier`. Anything else warns and yields
+/// `None` (caller falls back to `Auto`).
 fn parse_env_gvt(name: &str, val: &str) -> Option<crate::config::GvtMode> {
     use crate::config::GvtMode;
     match val {
         "auto" => Some(GvtMode::Auto),
         "barrier" => Some(GvtMode::Barrier),
-        "incremental" => Some(GvtMode::Incremental),
         _ => {
-            warn_env(name, val, "auto/barrier/incremental");
+            warn_env(name, val, "auto/barrier");
             None
         }
     }
@@ -1253,7 +1252,7 @@ pub(crate) fn audit_probe_env_default() -> bool {
 
 /// The default for
 /// [`EngineConfig::gvt_mode`](crate::config::EngineConfig::gvt_mode):
-/// `PDES_GVT=auto|barrier|incremental` when set, otherwise `Auto`.
+/// `PDES_GVT=auto|barrier` when set, otherwise `Auto`.
 pub(crate) fn gvt_mode_env_default() -> crate::config::GvtMode {
     env_overrides().gvt.unwrap_or_default()
 }
@@ -1564,11 +1563,7 @@ mod tests {
             use crate::config::GvtMode;
             assert_eq!(parse_env_gvt("PDES_GVT", "auto"), Some(GvtMode::Auto));
             assert_eq!(parse_env_gvt("PDES_GVT", "barrier"), Some(GvtMode::Barrier));
-            assert_eq!(
-                parse_env_gvt("PDES_GVT", "incremental"),
-                Some(GvtMode::Incremental)
-            );
-            assert_eq!(parse_env_gvt("PDES_GVT", "Incremental"), None);
+            assert_eq!(parse_env_gvt("PDES_GVT", "Barrier"), None);
         }
 
         // Integers: digits only.

@@ -87,7 +87,7 @@ pub struct RunManifest {
     pub n_lps: u64,
     /// Pending-set implementation (`heap`/`splay`/`calendar`).
     pub scheduler: String,
-    /// GVT protocol selection (`auto`/`barrier`/`incremental`).
+    /// GVT protocol selection (`auto`/`barrier`).
     pub gvt_mode: String,
     /// Events between GVT reductions.
     pub gvt_interval: u64,
@@ -275,7 +275,6 @@ fn gvt_mode_name(config: &EngineConfig) -> &'static str {
     match config.gvt_mode {
         GvtMode::Auto => "auto",
         GvtMode::Barrier => "barrier",
-        GvtMode::Incremental => "incremental",
     }
 }
 

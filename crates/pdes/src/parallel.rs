@@ -18,11 +18,16 @@
 //!   the kernel un-steps the LP's RNG, and **anti-messages** cancel every
 //!   child the undone events had scheduled. An anti-message arriving for an
 //!   already-executed event triggers a **secondary rollback**.
-//! * **GVT** — a Fujimoto-style shared-memory reduction: all PEs rendezvous
-//!   at a barrier, drain in-flight messages until the global sent/received
-//!   counters agree (so no transient message is missed), publish local
-//!   minima, and take the global min. Events older than GVT are *committed*
-//!   and fossil-collected.
+//! * **GVT** — one PE loop, one protocol call per iteration ([`GvtSync`]).
+//!   The default is Mattern's two-cut incremental reduction: PE 0 opens an
+//!   epoch, each PE reports `min(queue, fault-held, sends since its last
+//!   report)` at its next loop boundary without waiting for anyone, and PE
+//!   0 publishes the min once every report landed. Checkpointing runs (and
+//!   [`GvtMode::Barrier`](crate::config::GvtMode::Barrier)) use the
+//!   Fujimoto barriered reduction instead: all PEs rendezvous, drain until
+//!   the global sent/received counters agree, and take the min of their
+//!   queue heads. Events older than GVT are *committed* and
+//!   fossil-collected.
 //!
 //! Determinism: because the commit order is the total [`EventKey`] order —
 //! logical fields only — a parallel run commits exactly the sequential
@@ -146,9 +151,35 @@ use crate::time::VirtualTime;
 /// termination detection without barrier-storming busy PEs).
 const IDLE_GVT_TRIGGER: u64 = 64;
 
-/// Consecutive no-progress polls of the GVT settle phase (neither counter
-/// moved) before a PE gives up and falls through to the barriered retry.
-const SETTLE_POLLS: u32 = 0;
+/// How the PEs agree on a GVT: the main loop's one strategy point, resolved
+/// once per PE and matched once per iteration in
+/// [`sync_step`](PeRuntime::sync_step). Another strategy is one more arm.
+enum GvtSync {
+    /// Lockstep Fujimoto reduction ([`gvt_round`](PeRuntime::gvt_round)):
+    /// its frames are quiescent, as checkpointing requires.
+    Barrier,
+    /// Mattern two-cut reduction: nobody rendezvouses and nobody settles
+    /// the machine. PE 0 opens an epoch; every PE reports at its next loop
+    /// boundary ([`inc_participate`](PeRuntime::inc_participate)) and keeps
+    /// executing; PE 0 closes the round once every report has landed
+    /// ([`inc_lead`](PeRuntime::inc_lead)).
+    ///
+    /// Correctness: a PE's report lower-bounds (a) everything it will
+    /// execute (its queue minimum after a full inbox drain), (b) every
+    /// fault-held message, and (c) every message it sent since its
+    /// *previous* report (`send_min`). Any message in flight when the round
+    /// closes was sent either before the sender's report — then it was
+    /// drained before some receiver's report, or is covered by (c) — or
+    /// after it, in which case its receive time is bounded below by the
+    /// sender's own report. The min over all reports therefore
+    /// lower-bounds every live or in-flight event.
+    Incremental {
+        /// Last epoch this PE reported for.
+        epoch: u64,
+        /// PE 0 only: whether a reduction round is currently open.
+        open: bool,
+    },
+}
 
 /// Optimism-window controller, run by every PE at the end of each GVT round
 /// on its own counters (see [`next_window`]). A round that rolled back more
@@ -223,19 +254,18 @@ struct Shared<P> {
     sent: AtomicU64,
     /// Global count of inter-PE messages drained.
     received: AtomicU64,
-    /// GVT protocol state: published GVT, round-request flag, and the
-    /// incremental (epoch/report) reduction — see [`crate::gvt::IncGvt`].
+    /// GVT protocol state: published GVT, round-request flag, the per-PE
+    /// report slots, and the incremental epochs — see
+    /// [`crate::gvt::IncGvt`].
     gvt: IncGvt,
-    /// Per-PE published local minimum for the current round (ticks).
-    local_mins: Vec<AtomicU64>,
     /// Rendezvous for the GVT protocol; aborted on failure so no PE can
     /// block forever.
     barrier: AbortableBarrier,
     /// First failure recorded by any PE (first writer wins).
     failure: Mutex<Option<FailureCause>>,
     /// Run-wide committed / processed / rolled-back event totals, updated
-    /// with per-round deltas by every PE just before the closing GVT barrier
-    /// — only when the stderr progress line is enabled
+    /// with per-round deltas by every PE when it samples a round — only
+    /// when the stderr progress line is enabled
     /// ([`ObsConfig::progress_every`](crate::obs::ObsConfig::progress_every)),
     /// so an unobserved run pays nothing.
     committed: AtomicU64,
@@ -371,10 +401,6 @@ struct PeRuntime<'a, M: Model> {
     /// each report. Maintained unconditionally (one branchless `min` per
     /// remote send); only the incremental protocol reads it.
     send_min: u64,
-    /// Last incremental epoch this PE participated in.
-    inc_round: u64,
-    /// PE 0 only: whether an incremental reduction round is currently open.
-    inc_open: bool,
     /// Ids of remote positives/antis already delivered once — consulted only
     /// under fault injection, where the chaos layer can deliver twice.
     /// Cleared at every GVT quiescence (no copy can be outstanding then).
@@ -420,18 +446,13 @@ impl<'a, M: Model> PeRuntime<'a, M> {
         self.lp_local[lp as usize] as usize
     }
 
-    /// Rendezvous with the other PEs, unwinding if the run was aborted.
+    /// Rendezvous with the other PEs, unwinding if the run was aborted, under
+    /// a [`Phase::GvtWait`] profiler scope — the barrier waits of GVT rounds
+    /// and checkpoint captures are where load imbalance shows up.
     #[inline]
-    fn bwait(&self) -> Result<(), Halt> {
-        self.shared.barrier.wait().map_err(|_| Halt)
-    }
-
-    /// [`bwait`](Self::bwait) under a [`Phase::GvtWait`] profiler scope —
-    /// the GVT reduction's barrier waits are where load imbalance shows up.
-    #[inline]
-    fn bwait_timed(&mut self) -> Result<(), Halt> {
+    fn bwait(&mut self) -> Result<(), Halt> {
         let t0 = self.profiler.begin(Phase::GvtWait);
-        let r = self.bwait();
+        let r = self.shared.barrier.wait().map_err(|_| Halt);
         self.profiler.end(Phase::GvtWait, t0);
         r
     }
@@ -494,22 +515,18 @@ impl<'a, M: Model> PeRuntime<'a, M> {
         }
     }
 
-    /// Main optimistic loop. Returns `Ok` when GVT passes the horizon, `Err`
-    /// when the run was aborted by a failure on any PE. Dispatches to the
-    /// barriered or incremental GVT protocol the config resolves to (see
-    /// [`EngineConfig::gvt_mode`](crate::config::EngineConfig::gvt_mode));
-    /// both commit the identical event order.
+    /// The PE main loop, under either GVT protocol (both commit the
+    /// identical event order). Returns `Ok` once GVT has passed the
+    /// horizon, `Err` when the run was aborted by a failure on any PE.
     fn run(&mut self) -> Result<(), Halt> {
-        if self.config.barriered_gvt() {
-            self.run_barriered()
+        let mut sync = if self.config.barriered_gvt() {
+            GvtSync::Barrier
         } else {
-            self.run_incremental()
-        }
-    }
-
-    /// Main loop under the classic barriered GVT protocol (required for
-    /// checkpoint frames; see [`gvt_round`](Self::gvt_round)).
-    fn run_barriered(&mut self) -> Result<(), Halt> {
+            GvtSync::Incremental {
+                epoch: 0,
+                open: false,
+            }
+        };
         loop {
             if self.shared.barrier.is_aborted() {
                 return Err(Halt);
@@ -518,18 +535,8 @@ impl<'a, M: Model> PeRuntime<'a, M> {
             // Draining can roll back and buffer anti-messages; publish them
             // (and any leftovers from the previous execute batch) now.
             self.flush_out_bufs();
-            let want_gvt = self.shared.gvt.round_requested()
-                || self.since_gvt >= self.config.gvt_interval
-                || (!self.has_executable() && self.idle_polls >= IDLE_GVT_TRIGGER);
-            if want_gvt {
-                self.shared.gvt.request_round();
-                if self.gvt_round()? {
-                    // End-of-run conservation check: every speculative send
-                    // must have been cancelled or committed by now.
-                    let end_check = self.audit.as_ref().map(|a| a.finish(self.id));
-                    return self.audit_gate(end_check);
-                }
-                continue;
+            if let Some(gvt) = self.sync_step(&mut sync)? {
+                return self.finish(gvt);
             }
             if !self.has_executable() {
                 self.idle_polls += 1;
@@ -541,6 +548,47 @@ impl<'a, M: Model> PeRuntime<'a, M> {
             // End-of-batch boundary: everything buffered becomes visible.
             self.flush_out_bufs();
         }
+    }
+
+    /// Whether this PE wants a GVT round: `gvt_interval` events executed
+    /// since the last one, or nothing executable for `IDLE_GVT_TRIGGER`
+    /// polls (termination detection).
+    fn round_due(&mut self) -> bool {
+        self.since_gvt >= self.config.gvt_interval
+            || (!self.has_executable() && self.idle_polls >= IDLE_GVT_TRIGGER)
+    }
+
+    /// One step of the GVT protocol, taken once per main-loop iteration
+    /// after the inbox drain. Returns the final GVT once it has passed the
+    /// horizon.
+    fn sync_step(&mut self, sync: &mut GvtSync) -> Result<Option<u64>, Halt> {
+        let gvt = match sync {
+            GvtSync::Barrier => {
+                if !self.shared.gvt.round_requested() && !self.round_due() {
+                    return Ok(None);
+                }
+                // Every other PE joins the round at its next iteration.
+                self.shared.gvt.request_round();
+                self.gvt_round()?
+            }
+            GvtSync::Incremental { epoch, open } => {
+                if self.id == 0 {
+                    self.inc_lead(open)?;
+                }
+                let current = self.shared.gvt.current_epoch();
+                if current > *epoch {
+                    *epoch = current;
+                    self.inc_participate(current)?;
+                }
+                let gvt = self.shared.gvt.read();
+                if gvt < self.config.end_time.0 && self.round_due() {
+                    // Ask PE 0 to open the next epoch (idempotent).
+                    self.shared.gvt.request_round();
+                }
+                gvt
+            }
+        };
+        Ok((gvt >= self.config.end_time.0).then_some(gvt))
     }
 
     /// Pop and execute up to one batch of locally minimal events.
@@ -566,68 +614,14 @@ impl<'a, M: Model> PeRuntime<'a, M> {
         Ok(())
     }
 
-    /// Main loop under the barrier-light incremental GVT protocol.
-    ///
-    /// Rounds are *epochs*: PE 0 opens one by bumping [`Shared::epoch`];
-    /// every PE participates asynchronously at its next loop boundary
-    /// ([`inc_participate`](Self::inc_participate)) and keeps executing —
-    /// nobody rendezvouses, nobody settles the machine to quiescence. PE 0
-    /// closes the round once every report has landed and publishes the new
-    /// GVT as the min of the reports.
-    ///
-    /// Correctness is the Mattern two-cut argument: a PE's report
-    /// lower-bounds (a) everything it will execute (its queue minimum after
-    /// a full inbox drain), (b) every fault-held message, and (c) every
-    /// message it sent since its *previous* report (`send_min`). Any message
-    /// in flight when the round closes was sent either before the sender's
-    /// report — then it was drained before some receiver's report, or is
-    /// covered by (c) — or after it, in which case its receive time is
-    /// bounded below by the sender's own report. The min over all reports
-    /// therefore lower-bounds every live or in-flight event, so committing
-    /// and fossil-collecting below it is safe.
-    fn run_incremental(&mut self) -> Result<(), Halt> {
-        loop {
-            if self.shared.barrier.is_aborted() {
-                return Err(Halt);
-            }
-            self.drain_inbox(true)?;
-            self.flush_out_bufs();
-            if self.id == 0 {
-                self.inc_lead()?;
-            }
-            let epoch = self.shared.gvt.current_epoch();
-            if epoch > self.inc_round {
-                self.inc_participate(epoch)?;
-            }
-            let gvt = self.shared.gvt.read();
-            if gvt >= self.config.end_time.0 {
-                return self.finish_incremental(gvt);
-            }
-            if self.since_gvt >= self.config.gvt_interval
-                || (!self.has_executable() && self.idle_polls >= IDLE_GVT_TRIGGER)
-            {
-                // Ask PE 0 to open the next epoch (idempotent).
-                self.shared.gvt.request_round();
-            }
-            if !self.has_executable() {
-                self.idle_polls += 1;
-                std::thread::yield_now();
-                continue;
-            }
-            self.idle_polls = 0;
-            self.execute_batch()?;
-            self.flush_out_bufs();
-        }
-    }
-
     /// PE 0's incremental-GVT bookkeeping, run once per loop iteration:
     /// close the open round if every report landed (publishing the new GVT,
     /// monotone under `max`), else open a round if one was requested.
-    fn inc_lead(&mut self) -> Result<(), Halt> {
-        if self.inc_open {
+    fn inc_lead(&mut self, open: &mut bool) -> Result<(), Halt> {
+        if *open {
             let epoch = self.shared.gvt.current_epoch();
             if let Some(gvt) = self.shared.gvt.try_close(epoch) {
-                self.inc_open = false;
+                *open = false;
                 self.lead_close(gvt)?;
                 self.progress_line(gvt);
             } else if self.config.deadline.is_some() {
@@ -637,7 +631,7 @@ impl<'a, M: Model> PeRuntime<'a, M> {
             }
         } else if self.shared.gvt.round_requested() {
             self.shared.gvt.open_round();
-            self.inc_open = true;
+            *open = true;
         }
         Ok(())
     }
@@ -653,25 +647,26 @@ impl<'a, M: Model> PeRuntime<'a, M> {
         self.flush_out_bufs();
         self.drain_inbox(true)?;
         self.flush_out_bufs();
-        let queue_min = self.queue.peek_key().map_or(u64::MAX, |k| k.recv_time.0);
         let held_min = self.faults.as_ref().map_or(u64::MAX, |f| f.held_min());
-        let report = queue_min.min(held_min).min(self.send_min);
+        let report = self.queue_min().min(held_min).min(self.send_min);
         self.send_min = u64::MAX;
-        // Telemetry surface: `lvt` in RoundSnapshot reads local_mins.
-        // ORDER: SeqCst — observability snapshot; consistency with the GVT
-        // total order is worth more than the cycle on this cold path.
-        self.shared.local_mins[self.id].store(report, SeqCst);
         self.shared.gvt.publish_report(self.id, report, epoch);
         self.profiler.end(Phase::GvtReduce, t0);
-        self.inc_round = epoch;
         self.end_round(self.shared.gvt.read())
     }
 
-    /// Termination path of the incremental protocol: GVT passed the
-    /// horizon, so commit everything still uncommitted, absorb any
-    /// straggling early anti-messages (possible only under fault-injected
-    /// delay), and run the end-of-run conservation audit.
-    fn finish_incremental(&mut self, gvt: u64) -> Result<(), Halt> {
+    /// Receive time (ticks) of this PE's pending minimum, `u64::MAX` if idle.
+    fn queue_min(&mut self) -> u64 {
+        self.queue.peek_key().map_or(u64::MAX, |k| k.recv_time.0)
+    }
+
+    /// Termination path of both protocols: GVT passed the horizon, so
+    /// commit everything still uncommitted, absorb any straggling early
+    /// anti-messages (possible only under fault-injected delay), and run
+    /// the end-of-run conservation audit. After a barriered round the first
+    /// two are no-ops: `end_round` already collected to `gvt`, and
+    /// quiescence emptied `early_antis`.
+    fn finish(&mut self, gvt: u64) -> Result<(), Halt> {
         let t0 = self.profiler.begin(Phase::Fossil);
         self.fossil_collect(VirtualTime(gvt));
         self.profiler.end(Phase::Fossil, t0);
@@ -685,6 +680,7 @@ impl<'a, M: Model> PeRuntime<'a, M> {
             self.drain_inbox(false)?;
             std::thread::yield_now();
         }
+        // Every speculative send must have been cancelled or committed.
         let end_check = self.audit.as_ref().map(|a| a.finish(self.id));
         self.audit_gate(end_check)
     }
@@ -1339,25 +1335,55 @@ impl<'a, M: Model> PeRuntime<'a, M> {
         Ok(())
     }
 
-    /// One GVT reduction round. All PEs execute this in lockstep; returns
-    /// whether the simulation is finished, or `Err` if the run was aborted
-    /// (peer failure, stalled GVT, expired deadline).
-    fn gvt_round(&mut self) -> Result<bool, Halt> {
-        self.bwait_timed()?; // B1: everyone has stopped executing.
+    /// One barriered GVT round, in lockstep on every PE: quiesce with each
+    /// PE's queue head as its report, take the min, run the per-round tail.
+    /// Returns the new GVT, or `Err` if the run was aborted (peer failure,
+    /// stalled GVT, expired deadline).
+    fn gvt_round(&mut self) -> Result<u64, Halt> {
+        self.quiesce(true)?;
+        // Quiescent: no messages in flight (or held by the fault layer),
+        // nobody executing. Every duplicate delivery has been absorbed and
+        // every early anti-message must have met its positive by now.
+        self.seen_pos.clear();
+        self.seen_anti.clear();
+        assert!(
+            self.early_antis.is_empty(),
+            "PE {}: {} anti-message(s) never met their positives (lost events?): {:?}",
+            self.id,
+            self.early_antis.len(),
+            self.early_antis.keys().take(8).collect::<Vec<_>>(),
+        );
+        let gvt = self.shared.gvt.min_report();
+        if self.id == 0 {
+            self.shared.gvt.publish(gvt);
+            self.lead_close(gvt)?;
+        }
+        self.end_round(gvt)?;
+        self.bwait()?; // B4: flag cleared, fossils reclaimed, round sampled.
+        self.progress_line(gvt);
+        Ok(gvt)
+    }
+
+    /// Bring the whole machine to quiescence, in lockstep on every PE: no
+    /// message left in a send buffer, a ring or the fault layer's hold-back.
+    /// Serves the barriered GVT round and the checkpoint capture. With
+    /// `report`, each PE publishes its queue head as its GVT report between
+    /// the agreeing pass's two barriers, so the second doubles as the
+    /// publication barrier.
+    fn quiesce(&mut self, report: bool) -> Result<(), Halt> {
+        self.bwait()?; // B1: nobody executes or unwinds any more.
         loop {
-            // Settle phase — no barriers. Draining can trigger rollbacks,
-            // which buffer new messages (each already counted in `sent`, so
-            // the machine cannot read as quiescent while any message sits
-            // unflushed or un-drained; chaos is off, so fault-held messages
-            // are delivered too and GVT can never pass a delayed message's
-            // timestamp). Keep flushing and draining while the global
-            // counters move: cancellation cascades propagate PE-to-PE
-            // through yields instead of paying two barrier crossings per
-            // hop. Give up after a few fruitless polls — any remaining
-            // in-flight message is addressed to a PE already parked at B2,
-            // which only the barriered retry below can release.
-            let mut last = (0u64, 0u64);
-            let mut idle = 0u32;
+            // Settle phase — no barriers. Draining verbatim (chaos off, so
+            // fault-held messages are delivered too and GVT can never pass a
+            // delayed message) can roll back and buffer new messages, each
+            // already counted in `sent`: the machine cannot read as
+            // quiescent while any message sits unflushed or un-drained.
+            // Flush and drain while the global counters move, so
+            // cancellation cascades cross PEs through yields instead of two
+            // barrier crossings per hop; stop at the first poll where they
+            // did not move. A message still in flight then waits for a PE
+            // parked at B2, which only another pass can release.
+            let mut last = None;
             loop {
                 self.flush_out_bufs();
                 self.drain_inbox(false)?;
@@ -1373,70 +1399,28 @@ impl<'a, M: Model> PeRuntime<'a, M> {
                 if self.shared.barrier.is_aborted() {
                     return Err(Halt);
                 }
-                if now == last {
-                    idle += 1;
-                    if idle > SETTLE_POLLS {
-                        break;
-                    }
-                } else {
-                    idle = 0;
-                    last = now;
+                if last == Some(now) {
+                    break;
                 }
+                last = Some(now);
                 std::thread::yield_now();
             }
-            self.bwait_timed()?; // B2: all channels flushed and drained once.
-                                 // Between B2 and B3 every PE only *loads* the counters, so all
-                                 // PEs sample the same values and agree on `quiet`.
-                                 // ORDER: SeqCst — quiescence check (see `send_remote`).
+            // B2: every PE has settled once. Between B2 and B3 every PE only
+            // *loads* the counters, so all PEs sample the same values and
+            // agree on `quiet`.
+            self.bwait()?;
+            // ORDER: SeqCst — quiescence check (see `send_remote`).
             let quiet = self.shared.sent.load(SeqCst) == self.shared.received.load(SeqCst);
-            if quiet {
-                // Quiescent — this PE's pending queue is final for this
-                // round, so its local minimum can be published right away:
-                // the closing barrier below then doubles as the
-                // publication barrier (the old separate B4).
-                let local_min = match self.queue.peek_key() {
-                    Some(k) => k.recv_time.0,
-                    None => u64::MAX,
-                };
-                // ORDER: SeqCst — published between barriers B2 and B3, so
-                // any release/acquire strength would do; GVT publication is
-                // cold, SeqCst keeps the whole protocol in one order.
-                self.shared.local_mins[self.id].store(local_min, SeqCst);
+            if quiet && report {
+                // This PE's pending queue is final for the round.
+                let head = self.queue_min();
+                self.shared.gvt.publish_min(self.id, head);
             }
-            self.bwait_timed()?; // B3: counters sampled; minima published if quiet.
+            self.bwait()?; // B3: counters sampled; reports published if quiet.
             if quiet {
-                break;
+                return Ok(());
             }
         }
-        // Quiescent: no messages in flight (or held by the fault layer),
-        // nobody executing. Every duplicate delivery has been absorbed and
-        // every early anti-message must have met its positive by now.
-        self.seen_pos.clear();
-        self.seen_anti.clear();
-        assert!(
-            self.early_antis.is_empty(),
-            "PE {}: {} anti-message(s) never met their positives (lost events?): {:?}",
-            self.id,
-            self.early_antis.len(),
-            self.early_antis.keys().take(8).collect::<Vec<_>>(),
-        );
-        let gvt = self
-            .shared
-            .local_mins
-            .iter()
-            // ORDER: SeqCst — the B3 barrier already ordered the stores;
-            // matches the publication side.
-            .map(|m| m.load(SeqCst))
-            .min()
-            .unwrap_or(u64::MAX);
-        if self.id == 0 {
-            self.shared.gvt.publish(gvt);
-            self.lead_close(gvt)?;
-        }
-        self.end_round(gvt)?;
-        self.bwait_timed()?; // B5: flag cleared, fossils reclaimed, round sampled.
-        self.progress_line(gvt);
-        Ok(gvt >= self.config.end_time.0)
     }
 
     /// PE 0's half of closing a GVT round under either protocol: withdraw
@@ -1482,8 +1466,8 @@ impl<'a, M: Model> PeRuntime<'a, M> {
         });
         self.audit_gate(sched_check)?;
         // Checkpoint boundary (all PEs agree, see `ckpt::due`). Checkpointing
-        // implies the barriered protocol (`EngineConfig::validate`), so an
-        // incremental round never is one.
+        // implies the barriered protocol (`EngineConfig::barriered_gvt`), so
+        // an incremental round never is one.
         if ckpt::due(self.config, self.round, gvt, self.last_ckpt_gvt) {
             self.checkpoint_round(gvt)?;
         }
@@ -1531,22 +1515,8 @@ impl<'a, M: Model> PeRuntime<'a, M> {
                 }
             }
         }
-        self.flush_out_bufs();
-        self.bwait()?; // C1: every PE has unwound to the horizon.
-
-        // Settle the cancellation cascade until globally quiescent again
-        // (same two-barrier agreement as the GVT reduction).
-        loop {
-            self.flush_out_bufs();
-            self.drain_inbox(false)?;
-            self.bwait()?; // C2a: one flush+drain pass everywhere.
-                           // ORDER: SeqCst — quiescence check (see `send_remote`).
-            let quiet = self.shared.sent.load(SeqCst) == self.shared.received.load(SeqCst);
-            self.bwait()?; // C2b: counters sampled consistently.
-            if quiet {
-                break;
-            }
-        }
+        // Settle the cancellation cascade until globally quiescent again.
+        self.quiesce(false)?;
         assert!(
             self.early_antis.is_empty(),
             "PE {}: capture rollback left {} unmatched anti-message(s)",
@@ -1564,7 +1534,7 @@ impl<'a, M: Model> PeRuntime<'a, M> {
                 return Err(Halt);
             }
         }
-        self.bwait()?; // C3: every PE's part deposited.
+        self.bwait()?; // C1: every PE's part deposited.
 
         if self.id == 0 {
             let parts: Vec<CkptPart> = lock(&self.shared.ckpt_parts)
@@ -1584,15 +1554,15 @@ impl<'a, M: Model> PeRuntime<'a, M> {
                 return Err(Halt);
             }
         }
-        self.bwait()?; // C4: snapshot durable (or the failure aborted us all).
+        self.bwait()?; // C2: snapshot durable (or the failure aborted us all).
         self.last_ckpt_gvt = gvt;
         Ok(())
     }
 
-    /// Per-round observability hook, run between fossil collection and the
-    /// closing barrier: record the GVT advance in the flight recorder,
-    /// publish progress deltas, and sample this PE's [`RoundSnapshot`] into
-    /// the bounded series and the configured sink.
+    /// Per-round observability hook, the last step of
+    /// [`end_round`](Self::end_round): record the GVT advance in the flight
+    /// recorder, publish progress deltas, and sample this PE's
+    /// [`RoundSnapshot`] into the bounded series and the configured sink.
     fn sample_round(&mut self, gvt: u64) {
         if self.recorder.wants(ObsKind::GvtAdvance) {
             self.recorder
@@ -1627,8 +1597,7 @@ impl<'a, M: Model> PeRuntime<'a, M> {
             wall_us: self.start_time.elapsed().as_micros() as u64,
             gvt,
             // The minimum this PE published for the round (u64::MAX = idle).
-            // ORDER: SeqCst — matches the publication store; telemetry only.
-            lvt: self.shared.local_mins[self.id].load(SeqCst),
+            lvt: self.shared.gvt.report(self.id),
             queue_depth: self.queue.len() as u64,
             uncommitted: self.kps.iter().map(|kp| kp.uncommitted() as u64).sum(),
             inbox_depth: self.shared.fabric.inbox_depth(self.id),
@@ -1651,8 +1620,10 @@ impl<'a, M: Model> PeRuntime<'a, M> {
 
     /// Stderr progress report, printed by PE 0 every
     /// [`progress_every`](crate::obs::ObsConfig::progress_every) rounds.
-    /// Runs after the closing barrier, so every PE's deltas for this round
-    /// are in the shared totals.
+    /// A barriered round prints after its closing barrier, so every PE's
+    /// deltas for the round are in the shared totals. An incremental round
+    /// prints when PE 0 closes it; a PE that has reported but not yet
+    /// sampled the round is still counted as of its previous one.
     fn progress_line(&self, gvt: u64) {
         let Some(every) = self.config.obs.progress_every else {
             return;
@@ -1661,7 +1632,7 @@ impl<'a, M: Model> PeRuntime<'a, M> {
             return;
         }
         // ORDER: SeqCst (×3) — progress-line totals; see the publication
-        // side in `publish_progress`.
+        // side in `sample_round`.
         let committed = self.shared.committed.load(SeqCst);
         let processed = self.shared.processed.load(SeqCst);
         let rolled = self.shared.rolled_back.load(SeqCst);
@@ -1760,7 +1731,7 @@ impl<'a, M: Model> PeRuntime<'a, M> {
     }
 
     /// End-of-run statistics collection over this PE's LPs.
-    fn finish(&self) -> M::Output {
+    fn output(&self) -> M::Output {
         let mut out = M::Output::default();
         for (i, &lp) in self.my_lps.iter().enumerate() {
             self.model.finish(lp, &self.slots[i].state, &mut out);
@@ -1873,7 +1844,6 @@ pub(crate) fn run_parallel_inner<M: Model>(
         sent: AtomicU64::new(0),
         received: AtomicU64::new(0),
         gvt: IncGvt::new(n_pes, frame.gvt),
-        local_mins: (0..n_pes).map(|_| AtomicU64::new(0)).collect(),
         barrier: AbortableBarrier::new(n_pes),
         failure: Mutex::new(None),
         committed: AtomicU64::new(0),
@@ -1950,8 +1920,6 @@ pub(crate) fn run_parallel_inner<M: Model>(
                     window_marks: (stats.events_processed, stats.events_rolled_back),
                     stats,
                     send_min: u64::MAX,
-                    inc_round: 0,
-                    inc_open: false,
                     audit: config
                         .audit
                         .then(|| AuditState::new(config.audit_drop_anti)),
@@ -1991,7 +1959,7 @@ pub(crate) fn run_parallel_inner<M: Model>(
                         });
                     }
                     rt.run()?;
-                    Ok(rt.finish())
+                    Ok(rt.output())
                 }));
                 let output = match outcome {
                     Ok(Ok(out)) => Some(out),

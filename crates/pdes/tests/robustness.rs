@@ -255,26 +255,31 @@ fn stall_watchdog_stays_quiet_on_a_healthy_run() {
 
 #[test]
 fn wall_clock_deadline_aborts_the_run() {
-    // A zero deadline trips at the first GVT round while work remains.
+    // A zero deadline trips at the first GVT round while work remains —
+    // checked in a different place by each protocol (the barriered round's
+    // watchdog; the incremental lead while a round is pending or closing).
     let model = PanicRing {
         n_lps: 8,
         victim: 0,
         after: 0,
     };
-    let cfg = ring_config()
-        .with_gvt_interval(1)
-        .with_deadline(Duration::ZERO);
-    let err = Run::new(&model, &cfg).go().expect_err("deadline must trip");
-    match &err {
-        RunError::GvtStalled {
-            elapsed,
-            diagnostics,
-            ..
-        } => {
-            assert!(*elapsed >= Duration::ZERO);
-            assert_eq!(diagnostics.pes.len(), 2);
+    for mode in [GvtMode::Auto, GvtMode::Barrier] {
+        let cfg = ring_config()
+            .with_gvt_mode(mode)
+            .with_gvt_interval(1)
+            .with_deadline(Duration::ZERO);
+        let err = Run::new(&model, &cfg).go().expect_err("deadline must trip");
+        match &err {
+            RunError::GvtStalled {
+                elapsed,
+                diagnostics,
+                ..
+            } => {
+                assert!(*elapsed >= Duration::ZERO);
+                assert_eq!(diagnostics.pes.len(), 2, "{mode:?}");
+            }
+            other => panic!("expected GvtStalled (deadline) under {mode:?}, got {other}"),
         }
-        other => panic!("expected GvtStalled (deadline), got {other}"),
     }
 }
 

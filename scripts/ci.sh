@@ -149,12 +149,15 @@ stage "overhead: toggle costs vs same-process references (BENCH_overhead.json)"
 # Throughput itself is benchmark/run.sh's job, not this script's.
 ./target/release/overhead --out=artifacts/BENCH_overhead.json
 
-stage "chaos: kill-and-resume recovery matrix (tests/checkpoint.rs)"
+stage "chaos: recovery matrix + both GVT protocols at release timing"
 # Release-mode rerun of the crash-recovery matrix: killed parallel runs are
 # resumed from the newest intact snapshot and must commit bit-identical
 # output to the uninterrupted sequential oracle across {heap,splay,calendar}
 # schedulers x {1,2,4} PEs; torn snapshots must be rejected with fallback.
-cargo test --release -q --test checkpoint
+# window and comm_determinism run the one PE loop under both GVT protocols
+# (delay + reorder faults, 2 and 3 PEs) against the oracle at release-build
+# timing, where the debug auditor no longer slows the rings down.
+cargo test --release -q --test checkpoint --test window --test comm_determinism
 
 stage "alloc smoke: ~0 allocations per committed event"
 # Counting global allocator over a warm 4-PE run: total allocations

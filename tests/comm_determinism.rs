@@ -8,7 +8,7 @@
 use hotpotato::{HotPotatoConfig, HotPotatoModel};
 use std::sync::Arc;
 
-use pdes::{EngineConfig, FaultPlan, MemorySink, ObsConfig, SchedulerKind};
+use pdes::{EngineConfig, FaultPlan, GvtMode, MemorySink, ObsConfig, SchedulerKind};
 
 /// The batch sizes the issue calls out: per-message flushing, the default,
 /// a large batch, and unbounded (boundary-only flushes).
@@ -97,33 +97,37 @@ fn comm_counters_reflect_batching() {
     );
 }
 
-/// Chaos at the channel boundary: fault plans that reorder (and delay /
-/// duplicate) drained batches, swept across batch sizes — the absorption
-/// machinery downstream of the rings must keep the output bit-identical.
+/// Chaos at the channel boundary: fault plans that reorder (and delay)
+/// drained batches, swept across batch sizes and both GVT protocols on an
+/// odd PE count — the absorption machinery downstream of the rings must keep
+/// the output bit-identical.
 #[test]
 fn chaos_reordering_at_the_channel_boundary_is_absorbed() {
     let m = model(6, 40);
     let seq = m.run(&engine(&m, 0xC0B3)).sequential().go().unwrap();
-    let mut reorders = 0u64;
-    for comm_batch in COMM_BATCHES {
-        let plan = FaultPlan::new(0xF00D).with_reorder(0.6).with_delay(0.2);
-        let par = m
-            .run(
-                &engine(&m, 0xC0B3)
-                    .with_comm_batch(comm_batch)
-                    .with_pes(3)
-                    .with_kps(9)
-                    .with_faults(plan),
-            )
-            .go()
-            .unwrap();
-        assert_eq!(
-            par.output, seq.output,
-            "comm_batch={comm_batch:?} under reordering chaos"
-        );
-        reorders += par.stats.injected_reorders;
+    for mode in [GvtMode::Auto, GvtMode::Barrier] {
+        let mut reorders = 0u64;
+        for comm_batch in COMM_BATCHES {
+            let plan = FaultPlan::new(0xF00D).with_reorder(0.6).with_delay(0.2);
+            let par = m
+                .run(
+                    &engine(&m, 0xC0B3)
+                        .with_gvt_mode(mode)
+                        .with_comm_batch(comm_batch)
+                        .with_pes(3)
+                        .with_kps(9)
+                        .with_faults(plan),
+                )
+                .go()
+                .unwrap();
+            assert_eq!(
+                par.output, seq.output,
+                "{mode:?} comm_batch={comm_batch:?} under reordering chaos"
+            );
+            reorders += par.stats.injected_reorders;
+        }
+        assert!(reorders > 0, "{mode:?}: reordering chaos never fired");
     }
-    assert!(reorders > 0, "reordering chaos never fired");
 }
 
 /// The event-memory pools must actually recycle on a multi-PE run (hits

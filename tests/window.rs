@@ -63,7 +63,7 @@ fn narrowing_window_commits_the_oracle_under_both_gvt_protocols() {
     let m = model(60);
     for seed in [5u64, 6] {
         let oracle = m.run(&adverse(&m, seed)).sequential().go().unwrap();
-        for mode in [GvtMode::Incremental, GvtMode::Barrier] {
+        for mode in [GvtMode::Auto, GvtMode::Barrier] {
             let cfg = adverse(&m, seed).with_gvt_mode(mode);
             let par = Run::new(&m, &cfg).mapping(&MAPPING).go().unwrap();
             assert_eq!(par.output, oracle.output, "seed={seed} {mode:?}");
