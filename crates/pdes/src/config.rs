@@ -133,7 +133,7 @@ pub struct EngineConfig {
 
 impl EngineConfig {
     /// A configuration with the given horizon and the defaults used
-    /// throughout the paper's experiments: 1 PE, 64 KPs, heap scheduler,
+    /// throughout the paper's experiments: 1 PE, 64 KPs, ladder scheduler,
     /// GVT every 1024 events, batch of 16.
     pub fn new(end_time: VirtualTime) -> Self {
         EngineConfig {

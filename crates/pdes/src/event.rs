@@ -128,8 +128,10 @@ impl<P> Event<P> {
 /// deletion keeps tombstoned entries in its storage long after annihilation
 /// has freed (and possibly reused) their slots; comparing through the arena
 /// would then order a tombstone by some *other* event's key and corrupt the
-/// heap. Forty bytes of key and id riding along (the entry is 48 with its
-/// slot) is the price of that safety — the payload itself never moves.
+/// heap. The default ladder queue deletes exactly and keeps no id maps, but
+/// it sorts and bucket-scans these same frozen copies, which keeps those
+/// passes off the arena's memory. Forty bytes of key and id ride along (the
+/// entry is 48 with its slot); the payload itself never moves.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct QueueEntry {
     /// Processing-order key (frozen copy).

@@ -264,6 +264,7 @@ fn default_run_id(metrics_path: &Path) -> String {
 
 fn scheduler_name(kind: SchedulerKind) -> &'static str {
     match kind {
+        SchedulerKind::Ladder => "ladder",
         SchedulerKind::Heap => "heap",
         SchedulerKind::Splay => "splay",
         SchedulerKind::Calendar => "calendar",
@@ -1412,7 +1413,7 @@ mod tests {
         let m = RunManifest::for_run(&config, 256, "parallel", Path::new("farm/run-07/m.jsonl"));
         assert_eq!(m.run_id, "run-07");
         assert_eq!(m.metrics, "m.jsonl");
-        assert_eq!(m.scheduler, "heap");
+        assert_eq!(m.scheduler, scheduler_name(SchedulerKind::default()));
         assert_eq!(m.n_lps, 256);
         assert_eq!(m.config_digest.len(), 16);
         let text = m.to_json();

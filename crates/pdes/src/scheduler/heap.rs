@@ -23,8 +23,8 @@ use crate::hash::{FastMap, FastSet};
 
 /// Min-heap entry; ordering reversed so `BinaryHeap` (a max-heap) pops the
 /// smallest [`EventKey`] first, breaking *transient-duplicate* key ties by
-/// id (see the parallel-kernel docs).
-struct Entry(QueueEntry);
+/// id (see the parallel-kernel docs). The ladder queue's dense buckets reuse it.
+pub(super) struct Entry(pub(super) QueueEntry);
 
 impl PartialEq for Entry {
     fn eq(&self, other: &Self) -> bool {

@@ -3,17 +3,21 @@
 //! Each PE owns one pending-event set. Time Warp needs three operations
 //! beyond an ordinary priority queue: peek (for GVT minima), and *removal of
 //! an arbitrary pending event* (anti-message annihilation before the event
-//! executes). Three interchangeable implementations are provided:
+//! executes). Four interchangeable implementations are provided:
 //!
-//! * [`HeapQueue`] — binary heap with lazy deletion; the default.
+//! * [`LadderQueue`] — step-bucketed two-level ladder: only the slice of
+//!   virtual time about to run is sorted; exact deletion, no id maps. The
+//!   default.
+//! * [`HeapQueue`] — binary heap with lazy deletion; the differential
+//!   reference the integration matrices run beside the default.
 //! * [`SplayQueue`] — top-down splay tree (what ROSS ships); exact deletion.
 //! * [`CalendarQueue`] — Brown's calendar queue; amortized O(1) when tuned.
 //!
 //! Since the arena split (`pdes::arena`), schedulers order small
 //! [`QueueEntry`] records — a frozen `(EventKey, EventId)` plus the arena
 //! [`SlotRef`](crate::arena::SlotRef) holding the payload — instead of
-//! owning whole events. Splay rotations and calendar-bucket shifts move 48
-//! bytes of plain-old-data; payloads stay put in the arena.
+//! owning whole events. Bucket sorts, splay rotations and calendar-bucket
+//! shifts move 48 bytes of plain-old-data; payloads stay put in the arena.
 //!
 //! All implementations commit the identical event order (the total
 //! [`EventKey`] order with id tie-break), so kernel determinism is
@@ -22,10 +26,12 @@
 
 mod calendar;
 mod heap;
+mod ladder;
 mod splay;
 
 pub use calendar::CalendarQueue;
 pub use heap::HeapQueue;
+pub use ladder::LadderQueue;
 pub use splay::SplayQueue;
 
 use crate::arena::SlotRef;
@@ -50,8 +56,8 @@ pub trait EventQueue: Send {
         self.len() == 0
     }
     /// Walk the implementation's internal structure and report the first
-    /// broken invariant (heap lazy-deletion accounting, splay in-order key
-    /// monotonicity, calendar bucket membership…). `Ok(())` means the
+    /// broken invariant (ladder bucket membership, heap lazy-deletion
+    /// accounting, splay in-order key monotonicity…). `Ok(())` means the
     /// structure is sound. The default is a no-op so external
     /// implementations keep compiling; the in-tree queues all implement it,
     /// and the runtime auditor calls it at every GVT round.
@@ -71,8 +77,10 @@ pub trait EventQueue: Send {
 /// Which pending-set implementation a kernel should use.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum SchedulerKind {
-    /// Binary heap with lazy deletion (default).
+    /// Step-bucketed ladder queue (default).
     #[default]
+    Ladder,
+    /// Binary heap with lazy deletion (the differential reference).
     Heap,
     /// Top-down splay tree.
     Splay,
@@ -84,6 +92,7 @@ impl SchedulerKind {
     /// Construct an empty queue of this kind.
     pub fn build(self) -> Box<dyn EventQueue> {
         match self {
+            SchedulerKind::Ladder => Box::new(LadderQueue::new()),
             SchedulerKind::Heap => Box::new(HeapQueue::new()),
             SchedulerKind::Splay => Box::new(SplayQueue::new()),
             SchedulerKind::Calendar => Box::new(CalendarQueue::new()),
@@ -137,6 +146,7 @@ mod tests {
 
     fn all_queues() -> Vec<Box<dyn EventQueue>> {
         vec![
+            SchedulerKind::Ladder.build(),
             SchedulerKind::Heap.build(),
             SchedulerKind::Splay.build(),
             SchedulerKind::Calendar.build(),
@@ -197,77 +207,116 @@ mod tests {
         }
     }
 
-    /// Random interleavings of push/pop/remove: all three schedulers agree
-    /// with each other and with a sorted-vector oracle. Seeded with the
-    /// repo's own CLCG4 streams so every run replays the same 64 cases.
+    /// A script timestamp around the last popped time `at`: mostly within a
+    /// few steps ahead (many buckets of any bucketed design), sometimes a
+    /// tail from just inside to far past any ring, sometimes a straggler
+    /// behind the last pop (the rollback-requeue pattern). Half are snapped
+    /// to a coarse grid so equal receive times, ordered by the rest of the
+    /// key, are common.
+    fn script_time(rng: &mut Clcg4, at: u64) -> u64 {
+        const STEP: u64 = crate::time::VirtualTime::STEP;
+        let t = match rng.integer(0, 9) {
+            0 => at + rng.integer(3 * STEP, 40 * STEP),
+            1 | 2 => at.saturating_sub(rng.integer(0, 2 * STEP)),
+            _ => at + rng.integer(0, 3 * STEP),
+        };
+        if rng.integer(0, 1) == 0 {
+            t - t % 50_000
+        } else {
+            t
+        }
+    }
+
+    fn popped(e: Option<QueueEntry>) -> Option<(EventKey, EventId, SlotRef)> {
+        e.map(|e| (e.key, e.id, e.slot))
+    }
+
+    /// Random interleavings of push/pop/remove plus the checkpoint-capture
+    /// pattern (drain everything, re-push it): every scheduler agrees with
+    /// a sorted-vector oracle, and reports sound structure and the oracle's
+    /// audit digest after every operation. Seeded with the repo's own CLCG4
+    /// streams so every run replays the same 64 cases.
     #[test]
     fn schedulers_agree_with_oracle() {
+        use crate::audit::event_fingerprint;
         for case in 0..64u64 {
             let mut rng = Clcg4::new(stream_seed(0x5C4E_D01E, case));
-            let n_ops = rng.integer(1, 199) as usize;
-            let mut heap = HeapQueue::new();
-            let mut splay = SplayQueue::new();
-            let mut cal = CalendarQueue::new();
+            let n_ops = rng.integer(1, 399) as usize;
+            let mut queues = all_queues();
             let mut oracle: Vec<QueueEntry> = Vec::new();
             let mut seq_id: u64 = 1_000_000; // distinct ids even on key clashes
+            let mut at = 0u64;
 
             for _ in 0..n_ops {
-                let op = rng.integer(0, 2);
-                let t = rng.integer(0, 49);
-                let dst = rng.integer(0, 3) as u32;
-                let tie = rng.integer(0, 999);
-                match op {
-                    0 => {
-                        let mut e = ev(t, dst, tie);
+                match rng.integer(0, 19) {
+                    0..=9 => {
+                        let t = script_time(&mut rng, at);
+                        let tie = rng.integer(0, 999);
+                        let mut e = ev(t, rng.integer(0, 3) as u32, tie);
                         // Duplicate logical keys are legal transients in the
                         // optimistic kernel; give each push a unique id.
+                        if !oracle.is_empty() && tie.is_multiple_of(8) {
+                            e.key = oracle[tie as usize % oracle.len()].key;
+                        }
                         e.id = EventId::new(0, seq_id);
                         e.slot = SlotRef {
                             idx: seq_id as u32,
                             gen: 0,
                         };
                         seq_id += 1;
-                        heap.push(e);
-                        splay.push(e);
-                        cal.push(e);
+                        queues.iter_mut().for_each(|q| q.push(e));
                         oracle.push(e);
                     }
-                    1 => {
+                    10..=15 => {
                         oracle.sort_by_key(|e| (e.key, e.id));
-                        let want = if oracle.is_empty() {
-                            None
-                        } else {
-                            Some(oracle.remove(0))
-                        };
-                        let want_k = want.map(|e| (e.key, e.id, e.slot));
-                        assert_eq!(heap.pop().map(|e| (e.key, e.id, e.slot)), want_k);
-                        assert_eq!(splay.pop().map(|e| (e.key, e.id, e.slot)), want_k);
-                        assert_eq!(cal.pop().map(|e| (e.key, e.id, e.slot)), want_k);
+                        let want = (!oracle.is_empty()).then(|| oracle.remove(0));
+                        for q in &mut queues {
+                            assert_eq!(popped(q.pop()), popped(want), "case {case}");
+                        }
+                        if let Some(w) = want {
+                            at = w.key.recv_time.0;
+                        }
                     }
-                    _ => {
+                    16..=18 => {
                         // Remove a pseudo-randomly chosen live event, if any.
                         if oracle.is_empty() {
                             continue;
                         }
-                        let victim = oracle.remove((t as usize) % oracle.len());
-                        assert_eq!(heap.remove(victim.id, victim.key), Some(victim.slot));
-                        assert_eq!(splay.remove(victim.id, victim.key), Some(victim.slot));
-                        assert_eq!(cal.remove(victim.id, victim.key), Some(victim.slot));
+                        let victim = oracle.remove(rng.integer(0, 999) as usize % oracle.len());
+                        for q in &mut queues {
+                            assert_eq!(q.remove(victim.id, victim.key), Some(victim.slot));
+                        }
+                    }
+                    _ => {
+                        // `ckpt::capture_part`: drain in order, re-push.
+                        oracle.sort_by_key(|e| (e.key, e.id));
+                        for q in &mut queues {
+                            let all: Vec<QueueEntry> = std::iter::from_fn(|| q.pop()).collect();
+                            assert_eq!(all, oracle, "case {case}: capture drain");
+                            all.into_iter().for_each(|e| q.push(e));
+                        }
                     }
                 }
-                assert_eq!(heap.len(), oracle.len());
-                assert_eq!(splay.len(), oracle.len());
-                assert_eq!(cal.len(), oracle.len());
+                let digest = oracle
+                    .iter()
+                    .fold(0u64, |acc, e| acc ^ event_fingerprint(e.id, &e.key));
+                for q in &queues {
+                    if let Err(broken) = q.check_invariants() {
+                        panic!("case {case}: {broken}");
+                    }
+                    assert_eq!(q.audit_digest(), Some(digest), "case {case}");
+                    assert_eq!(q.len(), oracle.len());
+                }
             }
 
             // Drain all and compare with the sorted oracle.
             oracle.sort_by_key(|e| (e.key, e.id));
             for want in oracle {
-                assert_eq!(heap.pop().unwrap().id, want.id);
-                assert_eq!(splay.pop().unwrap().id, want.id);
-                assert_eq!(cal.pop().unwrap().id, want.id);
+                for q in &mut queues {
+                    assert_eq!(q.pop().unwrap().id, want.id);
+                }
             }
-            assert!(heap.is_empty() && splay.is_empty() && cal.is_empty());
+            assert!(queues.iter().all(|q| q.is_empty()));
         }
     }
 }

@@ -457,7 +457,7 @@ mod tests {
     }
 
     #[test]
-    fn splay_and_heap_agree() {
+    fn default_and_heap_agree() {
         use crate::scheduler::SchedulerKind;
         let model = PingPong { n: 8 };
         let base = EngineConfig::new(VirtualTime::from_steps(30)).with_seed(5);
@@ -465,11 +465,8 @@ mod tests {
             .sequential()
             .go()
             .unwrap();
-        let splay = Run::new(&model, &base.with_scheduler(SchedulerKind::Splay))
-            .sequential()
-            .go()
-            .unwrap();
-        assert_eq!(heap.output, splay.output);
-        assert_eq!(heap.stats.events_committed, splay.stats.events_committed);
+        let default = Run::new(&model, &base).sequential().go().unwrap();
+        assert_eq!(heap.output, default.output);
+        assert_eq!(heap.stats.events_committed, default.stats.events_committed);
     }
 }

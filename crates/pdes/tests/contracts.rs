@@ -169,20 +169,26 @@ fn parallel_with_more_kps_than_lps_is_clamped_by_mapping() {
     assert_eq!(r.stats.events_committed, 1);
 }
 
-/// Property test for the scheduler audit contract: all three pending-set
+/// Property test for the scheduler audit contract: all four pending-set
 /// implementations, driven through identical randomized push/pop/remove
 /// scripts, must (a) pop identical `(key, id)` sequences, (b) report sound
 /// internal structure via `check_invariants()` after *every* operation, and
 /// (c) agree on `audit_digest()` — both with each other and with an
 /// incrementally maintained XOR mirror, exactly the cross-check the runtime
-/// auditor performs at GVT rounds.
+/// auditor performs at GVT rounds. Timestamps span several steps (many
+/// buckets of the ladder queue), with a far-future tail past its ring,
+/// stragglers behind the last pop (rollback requeues), and the checkpoint
+/// capture's drain-and-re-push.
 #[test]
 fn scheduler_audit_contract_under_random_scripts() {
     use pdes::audit::event_fingerprint;
     use pdes::event::{EventId, EventKey, QueueEntry};
     use pdes::prelude::SlotRef;
     use pdes::rng::{stream_seed, Clcg4};
-    use pdes::scheduler::{CalendarQueue, EventQueue, HeapQueue, SplayQueue};
+    use pdes::scheduler::{CalendarQueue, EventQueue, HeapQueue, LadderQueue, SplayQueue};
+
+    const STEP: u64 = VirtualTime::STEP;
+    const NAMES: [&str; 4] = ["ladder", "heap", "splay", "calendar"];
 
     fn make(t: u64, dst: u32, tie: u64, seq: u64) -> QueueEntry {
         QueueEntry {
@@ -202,10 +208,24 @@ fn scheduler_audit_contract_under_random_scripts() {
         }
     }
 
+    fn pop_all(queues: &mut [Box<dyn EventQueue>]) -> Vec<Option<(EventKey, EventId)>> {
+        queues
+            .iter_mut()
+            .map(|q| q.pop().map(|e| (e.key, e.id)))
+            .collect()
+    }
+
+    fn agree(got: &[Option<(EventKey, EventId)>], case: u64) {
+        for (name, g) in NAMES.iter().zip(got).skip(1) {
+            assert_eq!(*g, got[0], "case {case}: ladder vs {name} pop diverged");
+        }
+    }
+
     for case in 0..48u64 {
         let mut rng = Clcg4::new(stream_seed(0xAD17_C0DE, case));
-        let n_ops = rng.integer(20, 250) as usize;
+        let n_ops = rng.integer(20, 400) as usize;
         let mut queues: Vec<Box<dyn EventQueue>> = vec![
+            Box::new(LadderQueue::new()),
             Box::new(HeapQueue::new()),
             Box::new(SplayQueue::new()),
             Box::new(CalendarQueue::new()),
@@ -213,14 +233,20 @@ fn scheduler_audit_contract_under_random_scripts() {
         let mut live: Vec<(EventId, EventKey)> = Vec::new();
         let mut mirror = 0u64; // kernel-style incremental XOR fingerprint
         let mut seq = 0u64;
+        let mut at = STEP; // last popped receive time
 
         for _ in 0..n_ops {
-            let op = rng.integer(0, 3); // push-biased: 0/1 push, 2 pop, 3 remove
-            let t = rng.integer(1, 60);
+            // push-biased: 0..=4 push, 5..=7 pop, 8 remove, 9 capture
+            let op = rng.integer(0, 9);
+            let t = match rng.integer(0, 9) {
+                0 => at + rng.integer(3 * STEP, 40 * STEP), // far-future tail
+                1 | 2 => at - rng.integer(0, at.min(2 * STEP)), // straggler
+                _ => at + rng.integer(0, 3 * STEP),
+            };
             let dst = rng.integer(0, 4) as u32;
             let tie = rng.integer(0, 500);
             match op {
-                0 | 1 => {
+                0..=4 => {
                     seq += 1;
                     let e = make(t, dst, tie, seq);
                     mirror ^= event_fingerprint(e.id, &e.key);
@@ -229,38 +255,48 @@ fn scheduler_audit_contract_under_random_scripts() {
                         q.push(e);
                     }
                 }
-                2 => {
-                    let got: Vec<Option<(EventKey, EventId)>> = queues
-                        .iter_mut()
-                        .map(|q| q.pop().map(|e| (e.key, e.id)))
-                        .collect();
-                    assert_eq!(got[0], got[1], "heap vs splay pop diverged");
-                    assert_eq!(got[0], got[2], "heap vs calendar pop diverged");
+                5..=7 => {
+                    let got = pop_all(&mut queues);
+                    agree(&got, case);
                     if let Some((key, id)) = got[0] {
                         mirror ^= event_fingerprint(id, &key);
                         let pos = live.iter().position(|&(i, _)| i == id).unwrap();
                         live.remove(pos);
+                        at = key.recv_time.0;
                     }
                 }
-                _ => {
+                8 => {
                     if live.is_empty() {
                         continue;
                     }
-                    let (id, key) = live.remove((t as usize) % live.len());
+                    let (id, key) = live.remove((tie as usize) % live.len());
                     mirror ^= event_fingerprint(id, &key);
                     for q in &mut queues {
                         assert!(q.remove(id, key).is_some(), "live event missing from queue");
                     }
                 }
+                _ => {
+                    // `ckpt::capture_part`: drain everything, re-push it.
+                    let mut drained: Vec<Vec<QueueEntry>> = vec![Vec::new(); queues.len()];
+                    for (q, out) in queues.iter_mut().zip(&mut drained) {
+                        out.extend(std::iter::from_fn(|| q.pop()));
+                    }
+                    for (name, d) in NAMES.iter().zip(&drained).skip(1) {
+                        assert_eq!(*d, drained[0], "case {case}: ladder vs {name} capture");
+                    }
+                    for (q, out) in queues.iter_mut().zip(drained) {
+                        out.into_iter().for_each(|e| q.push(e));
+                    }
+                }
             }
-            for q in &queues {
+            for (name, q) in NAMES.iter().zip(&queues) {
                 if let Err(broken) = q.check_invariants() {
-                    panic!("case {case}: scheduler invariant broken: {broken}");
+                    panic!("case {case}: {name} invariant broken: {broken}");
                 }
                 assert_eq!(
                     q.audit_digest(),
                     Some(mirror),
-                    "case {case}: audit digest diverged from XOR mirror"
+                    "case {case}: {name} audit digest diverged from XOR mirror"
                 );
                 assert_eq!(q.len(), live.len());
             }
@@ -268,12 +304,8 @@ fn scheduler_audit_contract_under_random_scripts() {
 
         // Drain: queues must agree all the way down and end at digest 0.
         loop {
-            let got: Vec<Option<(EventKey, EventId)>> = queues
-                .iter_mut()
-                .map(|q| q.pop().map(|e| (e.key, e.id)))
-                .collect();
-            assert_eq!(got[0], got[1]);
-            assert_eq!(got[0], got[2]);
+            let got = pop_all(&mut queues);
+            agree(&got, case);
             match got[0] {
                 Some((key, id)) => mirror ^= event_fingerprint(id, &key),
                 None => break,

@@ -148,7 +148,7 @@ fn parallel_matches_across_seeds_and_schedulers() {
     for seed in [1u64, 2, 3, 0xDEAD] {
         let cfg = config().with_seed(seed);
         let seq = Run::new(&storm(), &cfg).sequential().go().unwrap();
-        for sched in [SchedulerKind::Heap, SchedulerKind::Splay] {
+        for sched in [SchedulerKind::default(), SchedulerKind::Heap] {
             let par = Run::new(
                 &storm(),
                 &cfg.clone().with_pes(2).with_kps(8).with_scheduler(sched),

@@ -152,8 +152,9 @@ stage "overhead: toggle costs vs same-process references (BENCH_overhead.json)"
 stage "chaos: recovery matrix + both GVT protocols at release timing"
 # Release-mode rerun of the crash-recovery matrix: killed parallel runs are
 # resumed from the newest intact snapshot and must commit bit-identical
-# output to the uninterrupted sequential oracle across {heap,splay,calendar}
-# schedulers x {1,2,4} PEs; torn snapshots must be rejected with fallback.
+# output to the uninterrupted sequential oracle across {default (ladder),
+# heap} schedulers x {1,2,4} PEs; torn snapshots must be rejected with
+# fallback.
 # window and comm_determinism run the one PE loop under both GVT protocols
 # (delay + reorder faults, 2 and 3 PEs) against the oracle at release-build
 # timing, where the debug auditor no longer slows the rings down.
@@ -162,7 +163,8 @@ cargo test --release -q --test checkpoint --test window --test comm_determinism
 stage "alloc smoke: ~0 allocations per committed event"
 # Counting global allocator over a warm 4-PE run: total allocations
 # (including per-run setup) divided by committed events must stay under the
-# 0.2 budget — one leaked allocation per event would be ~5x over.
+# 0.02 budget — about 1.5x today's figure, so one leaked allocation per
+# event, or one per scheduler bucket, fails.
 ./target/release/alloc_smoke
 
 stage "forensics smoke: rollback_report on the figure-7 regime"

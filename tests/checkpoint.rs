@@ -1,8 +1,9 @@
 //! Checkpoint/restore and crash-recovery matrix: a run that is killed
 //! mid-flight and resumed from its last intact snapshot must commit output
-//! **bit-identical** to an uninterrupted run, across every scheduler
-//! backend and PE count — and corrupted snapshots must be detected and
-//! skipped, falling back to an older snapshot or a cold restart.
+//! **bit-identical** to an uninterrupted run, under the default scheduler
+//! and the heap reference at every PE count — and corrupted snapshots must
+//! be detected and skipped, falling back to an older snapshot or a cold
+//! restart.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -14,11 +15,10 @@ use pdes::{
 };
 use topo::Torus;
 
-const SCHEDULERS: [SchedulerKind; 3] = [
-    SchedulerKind::Heap,
-    SchedulerKind::Splay,
-    SchedulerKind::Calendar,
-];
+/// The default pending set and the binary heap it is checked against.
+fn schedulers() -> [SchedulerKind; 2] {
+    [SchedulerKind::default(), SchedulerKind::Heap]
+}
 
 fn model(n: u32, steps: u64) -> HotPotatoModel<Torus> {
     HotPotatoModel::torus(HotPotatoConfig::new(n, steps))
@@ -84,7 +84,7 @@ fn ckpt_dir(tag: &str) -> PathBuf {
 #[test]
 fn clean_resume_matches_oracle_across_matrix() {
     let m = model(8, 26);
-    for sched in SCHEDULERS {
+    for sched in schedulers() {
         let dir = ckpt_dir("clean");
         let cfg = engine(7, &dir).with_scheduler(sched);
         let oracle = m.run(&cfg).sequential().go().unwrap();
@@ -179,11 +179,11 @@ fn snapshots_are_kernel_portable() {
 
 /// Mid-run PE kill: the supervisor restarts from the newest intact snapshot
 /// and the recovered run is bit-identical to the uninterrupted oracle, on
-/// every scheduler × PE-count combination.
+/// every scheduler × PE-count combination of the matrix.
 #[test]
 fn killed_run_recovers_bit_identical() {
     let m = model(8, 26);
-    for sched in SCHEDULERS {
+    for sched in schedulers() {
         let oracle = m
             .run(&engine(23, &ckpt_dir("oracle")))
             .sequential()

@@ -30,18 +30,14 @@ fn engine(m: &HotPotatoModel<topo::Torus>, seed: u64) -> EngineConfig {
         .with_obs(ObsConfig::verbose().with_sink(Arc::new(MemorySink::new(1024))))
 }
 
-/// The full matrix: {1, 8, 64, unbounded} × {Heap, Splay, Calendar},
-/// each at 2 and 4 PEs, all bit-identical to the sequential oracle.
+/// The full matrix: {1, 8, 64, unbounded} × {default, Heap}, each at 2
+/// and 4 PEs, all bit-identical to the sequential oracle.
 #[test]
 fn comm_batch_times_scheduler_matrix_matches_sequential() {
     let m = model(6, 40);
     let seq = m.run(&engine(&m, 0xC0B1)).sequential().go().unwrap();
     for comm_batch in COMM_BATCHES {
-        for sched in [
-            SchedulerKind::Heap,
-            SchedulerKind::Splay,
-            SchedulerKind::Calendar,
-        ] {
+        for sched in [SchedulerKind::default(), SchedulerKind::Heap] {
             for pes in [2usize, 4] {
                 let par = m
                     .run(

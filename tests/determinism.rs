@@ -55,11 +55,7 @@ fn parallel_equals_sequential_across_kp_counts() {
 fn parallel_equals_sequential_with_every_scheduler() {
     let model = HotPotatoModel::torus(HotPotatoConfig::new(8, 40));
     let reference = model.run(&engine(&model, 3)).sequential().go().unwrap();
-    for sched in [
-        SchedulerKind::Heap,
-        SchedulerKind::Splay,
-        SchedulerKind::Calendar,
-    ] {
+    for sched in [SchedulerKind::default(), SchedulerKind::Heap] {
         let base = engine(&model, 3).with_scheduler(sched);
         let seq = model.run(&base).sequential().go().unwrap();
         let par = model

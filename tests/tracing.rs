@@ -39,11 +39,7 @@ fn committed_trace_matches_sequential_oracle_under_chaos() {
         .with_duplicate(0.2)
         .with_reorder(0.5);
     for pes in [2usize, 4] {
-        for sched in [
-            SchedulerKind::Heap,
-            SchedulerKind::Splay,
-            SchedulerKind::Calendar,
-        ] {
+        for sched in [SchedulerKind::default(), SchedulerKind::Heap] {
             let par = m
                 .run(
                     &engine(&m, 0x7ACE)
