@@ -43,8 +43,7 @@ fn main() {
                     // two rollback accounting paths disagree.
                     assert_eq!(
                         stats.blame.events_undone, stats.events_rolled_back,
-                        "blame ledger diverged from EngineStats \
-                         (n={n} kps={kps}; is PDES_OBS_BLAME=0 set?)"
+                        "blame ledger diverged from EngineStats (n={n} kps={kps})"
                     );
                     assert_eq!(
                         stats.blame.cascades_straggler, stats.primary_rollbacks,

@@ -102,18 +102,13 @@ const MODES: &[Mode] = &[
         },
         vs: Some(("dark", None)),
     },
-    // Pure JSONL streaming (explicit sink, heartbeats off) — attribution
+    // JSONL streaming through an explicit sink, no manifest — attribution
     // for the `hub` row.
     Mode {
         name: "jsonl",
         cfg: |b, dir| {
             let sink = JsonlSink::create(dir.join("jsonl.jsonl")).expect("create jsonl sink");
-            obs(
-                b,
-                ObsConfig::default()
-                    .with_heartbeat_every(0)
-                    .with_sink(Arc::new(sink)),
-            )
+            obs(b, ObsConfig::default().with_sink(Arc::new(sink)))
         },
         vs: Some(("default", None)),
     },
@@ -121,9 +116,7 @@ const MODES: &[Mode] = &[
     Mode {
         name: "hub",
         cfg: |b, dir| {
-            let o = ObsConfig::default()
-                .with_metrics_path(dir.join("metrics.jsonl"))
-                .with_run_id("overhead");
+            let o = ObsConfig::default().with_metrics_path(dir.join("metrics.jsonl"));
             obs(b, o)
         },
         vs: Some(("default", Some(5.0))),

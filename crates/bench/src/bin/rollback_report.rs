@@ -65,7 +65,7 @@ fn hist_row(hist: &[u64; N_BUCKETS]) -> String {
 fn assert_reconciled(stats: &EngineStats) {
     assert_eq!(
         stats.blame.events_undone, stats.events_rolled_back,
-        "blame ledger diverged from events_rolled_back (is PDES_OBS_BLAME=0 set?)"
+        "blame ledger diverged from events_rolled_back"
     );
     assert_eq!(
         stats.blame.cascades_straggler, stats.primary_rollbacks,

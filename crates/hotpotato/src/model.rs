@@ -41,8 +41,8 @@ use crate::stats::NetStats;
 use crate::timing::{arrive_time, inject_time, route_time, HEARTBEAT_PHASE, JITTER_SPAN};
 
 /// Codes for the model-level notes this model drops into the kernel's
-/// flight recorder via [`EventCtx::note`] (category
-/// [`Model`](pdes::ObsCategory::Model)). The note's `arg` carries the
+/// flight recorder via [`EventCtx::note`] (kind
+/// [`ModelNote`](pdes::obs::ObsKind::ModelNote)). The note's `arg` carries the
 /// packet id (or, for [`ABSORB`](notes::ABSORB), the delivered packet's
 /// deflection count). Notes are recorded at execution time — speculated
 /// executions leave notes even if later rolled back (see

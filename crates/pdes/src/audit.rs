@@ -283,7 +283,7 @@ pub(crate) fn probe_reverse<M: Model>(
 
 /// Flight-record a violation (the record that lands in failure diagnostics).
 pub(crate) fn record_violation(recorder: &mut FlightRecorder, v: &AuditViolation) {
-    if recorder.wants(ObsKind::AuditViolation) {
+    if recorder.enabled() {
         recorder.record(ObsRecord::event(
             ObsKind::AuditViolation,
             v.id.unwrap_or(EventId(0)),

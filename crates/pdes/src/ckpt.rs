@@ -5,8 +5,8 @@
 //! restartable service:
 //!
 //! 1. **Snapshots** — at configurable GVT-commit boundaries
-//!    ([`EngineConfig::checkpoint_every`](crate::config::EngineConfig::checkpoint_every),
-//!    env `PDES_CKPT=N`), each kernel serializes the complete *committed*
+//!    ([`EngineConfig::checkpoint_every`](crate::config::EngineConfig::checkpoint_every)),
+//!    each kernel serializes the complete *committed*
 //!    machine state into a versioned, checksummed binary file: per-LP model
 //!    state (via [`Model::save_state`](crate::model::Model::save_state)),
 //!    RNG stream positions, the pending-event frontier above GVT, the engine
@@ -789,7 +789,7 @@ pub(crate) fn write_frame(
     *writes += 1;
     stats.checkpoints_written += 1;
     stats.checkpoint_bytes += bytes;
-    if recorder.wants(ObsKind::Checkpoint) {
+    if recorder.enabled() {
         recorder.record(ObsRecord::kernel(ObsKind::Checkpoint, bytes));
     }
     Ok(())

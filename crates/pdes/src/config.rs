@@ -1,11 +1,12 @@
 //! Engine configuration.
 
 use std::path::PathBuf;
+use std::sync::OnceLock;
 use std::time::Duration;
 
 use crate::error::RunError;
 use crate::fault::FaultPlan;
-use crate::obs::ObsConfig;
+use crate::obs::{ObsConfig, DEFAULT_RECORDER_CAPACITY};
 use crate::scheduler::SchedulerKind;
 use crate::time::VirtualTime;
 
@@ -18,7 +19,7 @@ pub enum GvtMode {
     /// no barrier, no settle loop — unless the run checkpoints: snapshot
     /// frames need the barriered round's sequential-frame quiescence, so
     /// checkpointing runs use [`Barrier`](GvtMode::Barrier). This is the
-    /// default; `PDES_GVT=barrier` overrides it.
+    /// default.
     #[default]
     Auto,
     /// Classic Fujimoto-style barriered reduction: every round, all PEs
@@ -83,9 +84,10 @@ pub struct EngineConfig {
     /// between events.
     pub deadline: Option<Duration>,
     /// Observability: flight recorder, GVT-round snapshot series, metrics
-    /// sink, progress line (see [`ObsConfig`]). [`EngineConfig::new`] seeds
-    /// this from [`ObsConfig::from_env`], so the legacy `PDES_TRACE` env
-    /// toggle keeps working; override with [`with_obs`](Self::with_obs).
+    /// sink, progress line (see [`ObsConfig`]). [`EngineConfig::new`] starts
+    /// from [`ObsConfig::default`], with the flight recorder on under
+    /// `PDES_TRACE=1` and the metrics path from `PDES_OBS_METRICS`; override
+    /// with [`with_obs`](Self::with_obs).
     pub obs: ObsConfig,
     /// Runtime reversibility auditor (see [`audit`](crate::audit)): probe
     /// `reverse` right after every `handle`, hash-check real rollbacks,
@@ -110,18 +112,14 @@ pub struct EngineConfig {
     /// Checkpointing (see [`ckpt`](crate::ckpt)): write a snapshot of the
     /// committed machine state every N GVT rounds (sequential kernel: every
     /// N telemetry rounds). `None` disables checkpointing. Requires the
-    /// model to implement the `Model::save_state`/`load_state` hooks.
-    /// [`EngineConfig::new`] seeds this from the `PDES_CKPT` env variable
-    /// (`PDES_CKPT=N`, `0` = off); override with
-    /// [`with_checkpoint_every`](Self::with_checkpoint_every).
+    /// model to implement the `Model::save_state`/`load_state` hooks. Set
+    /// with [`with_checkpoint_every`](Self::with_checkpoint_every).
     pub checkpoint_every: Option<u64>,
     /// Directory snapshots are written to (created on first write; the
-    /// newest two are kept). Seeded from `PDES_CKPT_DIR`, default
-    /// `pdes-ckpt`; override with
+    /// newest two are kept). Default `pdes-ckpt`; set with
     /// [`with_checkpoint_dir`](Self::with_checkpoint_dir).
     pub checkpoint_dir: PathBuf,
-    /// GVT protocol selection (see [`GvtMode`]). Seeded from `PDES_GVT`
-    /// (`barrier` or `auto`); override with
+    /// GVT protocol selection (see [`GvtMode`]); set with
     /// [`with_gvt_mode`](Self::with_gvt_mode).
     pub gvt_mode: GvtMode,
     /// Per-PE event-arena capacity in slots (`None` =
@@ -134,8 +132,25 @@ pub struct EngineConfig {
 impl EngineConfig {
     /// A configuration with the given horizon and the defaults used
     /// throughout the paper's experiments: 1 PE, 64 KPs, ladder scheduler,
-    /// GVT every 1024 events, batch of 16.
+    /// GVT every 1024 events, batch of 16. Three process variables, read
+    /// once per process, seed it: `PDES_TRACE=1` turns the flight recorder
+    /// on, `PDES_AUDIT=0|1|fast` sets [`audit`](Self::audit) and
+    /// [`audit_probe`](Self::audit_probe), and `PDES_OBS_METRICS=<path>`
+    /// sets [`ObsConfig::metrics_path`]. Any other `PDES_*` variable, and a
+    /// malformed value, is ignored with one warning on stderr.
     pub fn new(end_time: VirtualTime) -> Self {
+        static ENV: OnceLock<EnvDefaults> = OnceLock::new();
+        let env = ENV.get_or_init(|| {
+            let env = env_defaults(
+                std::env::vars_os()
+                    .filter_map(|(k, v)| Some((k.into_string().ok()?, v.into_string().ok()?))),
+            );
+            for warning in &env.warnings {
+                eprintln!("{warning}");
+            }
+            env
+        });
+        let (audit, audit_probe) = env.audit.unwrap_or((cfg!(debug_assertions), true));
         EngineConfig {
             end_time,
             seed: 0x5EED0F0DD5,
@@ -149,13 +164,21 @@ impl EngineConfig {
             fault_plan: None,
             gvt_stall_rounds: Some(1_000_000),
             deadline: None,
-            obs: ObsConfig::from_env(),
-            audit: crate::obs::audit_env_default(),
-            audit_probe: crate::obs::audit_probe_env_default(),
+            obs: ObsConfig {
+                recorder_capacity: if env.trace {
+                    DEFAULT_RECORDER_CAPACITY
+                } else {
+                    0
+                },
+                metrics_path: env.metrics_path.clone(),
+                ..ObsConfig::default()
+            },
+            audit,
+            audit_probe,
             audit_drop_anti: None,
-            checkpoint_every: crate::obs::ckpt_env_default(),
-            checkpoint_dir: crate::obs::ckpt_dir_env_default(),
-            gvt_mode: crate::obs::gvt_mode_env_default(),
+            checkpoint_every: None,
+            checkpoint_dir: PathBuf::from("pdes-ckpt"),
+            gvt_mode: GvtMode::Auto,
             arena_slots: None,
         }
     }
@@ -256,8 +279,7 @@ impl EngineConfig {
         self
     }
 
-    /// Select the GVT protocol (see [`gvt_mode`](Self::gvt_mode)),
-    /// overriding `PDES_GVT`.
+    /// Select the GVT protocol (see [`gvt_mode`](Self::gvt_mode)).
     pub fn with_gvt_mode(mut self, mode: GvtMode) -> Self {
         self.gvt_mode = mode;
         self
@@ -280,14 +302,14 @@ impl EngineConfig {
     }
 
     /// Checkpoint every `n` GVT rounds (see
-    /// [`checkpoint_every`](Self::checkpoint_every)), overriding `PDES_CKPT`.
+    /// [`checkpoint_every`](Self::checkpoint_every)).
     pub fn with_checkpoint_every(mut self, n: u64) -> Self {
         assert!(n >= 1, "checkpoint interval must be >= 1 round");
         self.checkpoint_every = Some(n);
         self
     }
 
-    /// Disable checkpointing, overriding `PDES_CKPT`.
+    /// Disable checkpointing.
     pub fn without_checkpoints(mut self) -> Self {
         self.checkpoint_every = None;
         self
@@ -373,6 +395,72 @@ impl EngineConfig {
             GvtMode::Auto => self.checkpoint_every.is_some(),
         }
     }
+}
+
+/// What the process environment contributes to [`EngineConfig::new`].
+#[derive(Debug, Default, PartialEq)]
+struct EnvDefaults {
+    /// `PDES_TRACE`: flight recorder on.
+    trace: bool,
+    /// `PDES_AUDIT`: `(audit, audit_probe)`; `None` = the build's default.
+    audit: Option<(bool, bool)>,
+    /// `PDES_OBS_METRICS`: register the run with a farm.
+    metrics_path: Option<PathBuf>,
+    /// One stderr line per ignored variable.
+    warnings: Vec<String>,
+}
+
+/// Map the process variables onto [`EnvDefaults`]. `vars` are all of the
+/// process's `(name, value)` pairs rather than a lookup by name, because a
+/// `PDES_*` name this engine does not read must be found to be reported: a
+/// script still setting a variable that used to switch something would
+/// otherwise get the default in silence. A malformed value warns the same
+/// way and leaves its setting at the default.
+fn env_defaults(vars: impl IntoIterator<Item = (String, String)>) -> EnvDefaults {
+    let mut env = EnvDefaults::default();
+    for (name, val) in vars {
+        let on = match val.as_str() {
+            "1" | "true" => Some(true),
+            "0" | "false" => Some(false),
+            _ => None,
+        };
+        let problem = match name.as_str() {
+            "PDES_TRACE" => match on {
+                Some(on) => {
+                    env.trace = on;
+                    None
+                }
+                None => Some("expected 1/true/0/false"),
+            },
+            "PDES_AUDIT" => match (on, val.as_str()) {
+                (Some(on), _) => {
+                    env.audit = Some((on, true));
+                    None
+                }
+                (None, "fast") => {
+                    env.audit = Some((true, false));
+                    None
+                }
+                _ => Some("expected 1/true/0/false/fast"),
+            },
+            // An empty path is almost certainly a broken shell expansion.
+            "PDES_OBS_METRICS" if val.is_empty() => Some("expected a file path"),
+            "PDES_OBS_METRICS" => {
+                env.metrics_path = Some(PathBuf::from(&val));
+                None
+            }
+            _ if name.starts_with("PDES_") => {
+                Some("not a variable this engine reads; configure the run in code")
+            }
+            _ => None,
+        };
+        if let Some(problem) = problem {
+            env.warnings.push(format!(
+                "pdes: warning: ignoring {name}={val:?} ({problem}); using the default"
+            ));
+        }
+    }
+    env
 }
 
 #[cfg(test)]
@@ -482,5 +570,106 @@ mod tests {
         let good = c.with_obs(ObsConfig::verbose().with_progress_every(8));
         assert!(good.validate().is_ok());
         assert_eq!(good.obs.progress_every, Some(8));
+    }
+
+    /// A fake environment written the way `env` prints one: `NAME=value`
+    /// pairs, whitespace-separated.
+    fn env(vars: &str) -> EnvDefaults {
+        env_defaults(vars.split_whitespace().map(|pair| {
+            let (name, val) = pair.split_once('=').expect("NAME=value");
+            (name.to_string(), val.to_string())
+        }))
+    }
+
+    #[test]
+    fn each_environment_variable_takes_effect() {
+        assert_eq!(env("HOME=/home/user PATH=/bin"), EnvDefaults::default());
+        let all = env("PDES_TRACE=1 PDES_AUDIT=fast PDES_OBS_METRICS=farm/a/metrics.jsonl");
+        assert_eq!(
+            all,
+            EnvDefaults {
+                trace: true,
+                audit: Some((true, false)),
+                metrics_path: Some(PathBuf::from("farm/a/metrics.jsonl")),
+                warnings: Vec::new(),
+            }
+        );
+        assert!(env("PDES_TRACE=true").trace);
+        assert!(!env("PDES_TRACE=0").trace);
+        assert_eq!(env("PDES_AUDIT=1").audit, Some((true, true)));
+        assert_eq!(env("PDES_AUDIT=true").audit, Some((true, true)));
+        assert_eq!(env("PDES_AUDIT=0").audit, Some((false, true)));
+        assert_eq!(env("PDES_AUDIT=false").audit, Some((false, true)));
+    }
+
+    #[test]
+    fn malformed_environment_values_warn_and_fall_back() {
+        let bad = env("PDES_TRACE=yes PDES_AUDIT=quick PDES_OBS_METRICS=");
+        assert_eq!(
+            EnvDefaults {
+                warnings: Vec::new(),
+                ..bad
+            },
+            EnvDefaults::default()
+        );
+        assert_eq!(
+            bad.warnings,
+            [
+                "pdes: warning: ignoring PDES_TRACE=\"yes\" (expected 1/true/0/false); using the default",
+                "pdes: warning: ignoring PDES_AUDIT=\"quick\" (expected 1/true/0/false/fast); using the default",
+                "pdes: warning: ignoring PDES_OBS_METRICS=\"\" (expected a file path); using the default",
+            ]
+        );
+    }
+
+    #[test]
+    fn unread_environment_variables_warn_and_change_nothing() {
+        let old = env("PDES_GVT=barrier PDES_CKPT=4 PDES_OBS_BLAME=0 PDESK=1");
+        assert_eq!(old.warnings.len(), 3, "{:?}", old.warnings);
+        for (warning, name) in
+            old.warnings
+                .iter()
+                .zip(["PDES_GVT=", "PDES_CKPT=", "PDES_OBS_BLAME="])
+        {
+            assert!(warning.starts_with("pdes: warning: ignoring "), "{warning}");
+            assert!(warning.contains(name), "{warning}");
+            assert!(warning.contains("configure the run in code"), "{warning}");
+        }
+        assert_eq!(
+            EnvDefaults {
+                warnings: Vec::new(),
+                ..old
+            },
+            EnvDefaults::default()
+        );
+    }
+
+    /// The README's environment table is the user-facing list of what
+    /// [`env_defaults`] reads: it must name exactly the variables this file
+    /// matches on, and each of them must be accepted without a warning.
+    #[test]
+    fn readme_environment_table_matches_the_variables_read() {
+        let is_name = |s: &str| {
+            s.strip_prefix("PDES_").is_some_and(|rest| {
+                !rest.is_empty() && rest.bytes().all(|b| b.is_ascii_uppercase() || b == b'_')
+            })
+        };
+        let listed: std::collections::BTreeSet<&str> = include_str!("../../../README.md")
+            .lines()
+            .filter_map(|line| line.strip_prefix("| `"))
+            .map(|cell| cell.split(['=', '`']).next().unwrap_or(""))
+            .filter(|name| is_name(name))
+            .collect();
+        // Every string literal in this file that is a whole variable name.
+        let read: std::collections::BTreeSet<&str> = include_str!("config.rs")
+            .split('"')
+            .filter(|s| is_name(s))
+            .collect();
+        assert_eq!(listed, read, "README.md's environment table has drifted");
+        for name in listed {
+            let one = env(&format!("{name}=1"));
+            assert!(one.warnings.is_empty(), "{name}: {:?}", one.warnings);
+            assert_ne!(one, EnvDefaults::default(), "{name} changed nothing");
+        }
     }
 }

@@ -143,15 +143,15 @@ pub mod prelude {
     pub use crate::mapping::{LinearMapping, Mapping};
     pub use crate::model::{EventCtx, InitCtx, Merge, Model, ReverseCtx};
     pub use crate::obs::agg::{
-        FleetMonitor, HealthDetector, HealthEvent, HealthPolicy, Heartbeat, RunIngest, RunManifest,
-        RunPhase, RunState, StreamTail,
+        FleetMonitor, HealthDetector, HealthEvent, HealthPolicy, Heartbeat, ObsSeverity, RunIngest,
+        RunManifest, RunPhase, RunState, StreamTail,
     };
     pub use crate::obs::blame::{BlameCell, BlameReport, CascadeCause, CascadeRec, CascadeTag};
     pub use crate::obs::prof::{Phase, PhaseProfile, PhaseStats};
     pub use crate::obs::trace::{HopEmit, HopRecord, PacketTrace, TRACE_UNBOUNDED};
     pub use crate::obs::{
-        CategoryMask, JsonlSink, MemorySink, MetricsSink, NullSink, ObsCategory, ObsConfig,
-        ObsSeverity, RecorderSummary, RoundSnapshot, Telemetry,
+        JsonlSink, MemorySink, MetricsSink, NullSink, ObsConfig, RecorderSummary, RoundSnapshot,
+        Telemetry,
     };
     pub use crate::parallel::run_parallel_mapped;
     pub use crate::rng::ReversibleRng;

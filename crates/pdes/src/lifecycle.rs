@@ -19,7 +19,7 @@ use crate::error::RunError;
 use crate::event::EventKey;
 use crate::model::{InitCtx, Model};
 use crate::obs::agg::{Heartbeat, RunPhase};
-use crate::obs::{RoundSeries, RoundSnapshot};
+use crate::obs::{RoundSeries, RoundSnapshot, DEFAULT_HEARTBEAT_EVERY};
 use crate::rng::{stream_seed, Clcg4};
 use crate::stats::{EngineStats, RunResult};
 use crate::time::VirtualTime;
@@ -89,9 +89,9 @@ pub(crate) fn boot<M: Model>(
 }
 
 /// Emit one liveness pulse for the fleet monitor (see [`Heartbeat`]): `Run`
-/// from [`boot`] and every [`heartbeat_every`](crate::obs::ObsConfig)
-/// rounds, `End` / `Fail` exactly once from [`teardown`]. `committed` is
-/// PE-local while running and the run total on the closing pulse.
+/// from [`boot`] and every [`DEFAULT_HEARTBEAT_EVERY`] rounds, `End` /
+/// `Fail` exactly once from [`teardown`]. `committed` is PE-local while
+/// running and the run total on the closing pulse.
 fn pulse(
     config: &EngineConfig,
     phase: RunPhase,
@@ -100,9 +100,6 @@ fn pulse(
     gvt: u64,
     committed: u64,
 ) {
-    if config.obs.heartbeat_every == 0 {
-        return;
-    }
     if let Some(sink) = &config.obs.sink {
         sink.heartbeat(&Heartbeat {
             pe: 0,
@@ -116,15 +113,14 @@ fn pulse(
 }
 
 /// Publish one PE's round sample: into its bounded series, to the streaming
-/// sink at full resolution, and — PE 0 only, every `heartbeat_every` rounds
-/// — as a `Run` pulse.
+/// sink at full resolution, and — PE 0 only, every
+/// [`DEFAULT_HEARTBEAT_EVERY`] rounds — as a `Run` pulse.
 #[inline]
 pub(crate) fn emit_round(config: &EngineConfig, series: &mut RoundSeries, snap: RoundSnapshot) {
     series.push(snap);
     if let Some(sink) = &config.obs.sink {
         sink.record(&snap);
-        let every = config.obs.heartbeat_every;
-        if snap.pe == 0 && every > 0 && snap.round.is_multiple_of(every) {
+        if snap.pe == 0 && snap.round.is_multiple_of(DEFAULT_HEARTBEAT_EVERY) {
             pulse(
                 config,
                 RunPhase::Run,

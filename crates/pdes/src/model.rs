@@ -117,8 +117,7 @@ impl<'a, P> EventCtx<'a, P> {
     }
 
     /// Drop a model-level note into the kernel's flight recorder
-    /// ([`ObsKind::ModelNote`], [`ObsCategory::Model`](crate::obs::ObsCategory::Model)):
-    /// `code` is a model-defined event code (carried in the record's
+    /// ([`ObsKind::ModelNote`]): `code` is a model-defined event code (carried in the record's
     /// `key.tie`) and `arg` a model-defined value. The record captures the
     /// executing LP and current virtual time.
     ///
@@ -126,12 +125,12 @@ impl<'a, P> EventCtx<'a, P> {
     /// written at *execution* time, so a note from a speculated execution
     /// stays in the ring even if the execution later rolls back (no
     /// compensation) — they answer "what did the machine do", not "what was
-    /// committed". No-op when the recorder is disabled, the `Model` category
-    /// is filtered, or the context is [`synthetic`](Self::synthetic).
+    /// committed". No-op when the recorder is disabled or the context is
+    /// [`synthetic`](Self::synthetic).
     #[inline]
     pub fn note(&mut self, code: u64, arg: u64) {
         if let Some(rec) = self.obs.as_deref_mut() {
-            if rec.wants(ObsKind::ModelNote) {
+            if rec.enabled() {
                 let key = EventKey {
                     recv_time: self.now,
                     dst: self.lp,

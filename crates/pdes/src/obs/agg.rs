@@ -25,8 +25,8 @@
 //!   ([`HealthDetector`]: GVT stall, rollback-rate spike, roughness
 //!   divergence, arena high-water approach, silent-stream timeout, run
 //!   failure) that latch per run — one structured [`HealthEvent`] per
-//!   onset, re-armed when the condition clears — reusing the
-//!   [`ObsSeverity`] taxonomy. The fleet rollup is **byte-deterministic**
+//!   onset, re-armed when the condition clears — each graded by an
+//!   [`ObsSeverity`]. The fleet rollup is **byte-deterministic**
 //!   for a fixed set of input streams regardless of how their reads
 //!   interleave: every per-run fold depends only on that run's line order,
 //!   runs are keyed in a `BTreeMap`, and the caller supplies the clock.
@@ -42,7 +42,7 @@ use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
 use super::json::{self, JsonValue};
-use super::{ObsSeverity, RoundSnapshot};
+use super::{RoundSnapshot, DEFAULT_HEARTBEAT_EVERY};
 use crate::audit::AuditHasher;
 use crate::config::EngineConfig;
 use crate::error::RunError;
@@ -59,19 +59,13 @@ pub const MANIFEST_VERSION: u64 = 1;
 /// File name of the manifest, written next to the metrics stream.
 pub const MANIFEST_FILE: &str = "run-manifest.json";
 
-/// The build tag stamped into manifests: `PDES_BUILD_TAG` at *compile* time
-/// when set (CI can inject a git describe), else `pdes-<crate version>`.
-pub fn build_tag() -> &'static str {
-    option_env!("PDES_BUILD_TAG").unwrap_or(concat!("pdes-", env!("CARGO_PKG_VERSION")))
-}
-
 /// One run's registry entry: everything a fleet consumer needs to interpret
 /// the metrics stream sitting next to it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RunManifest {
     /// Schema version (see [`MANIFEST_VERSION`]).
     pub manifest_version: u64,
-    /// Fleet-unique run identifier (defaults to the run directory's name).
+    /// Fleet-unique run identifier: the run directory's name.
     pub run_id: String,
     /// Model label (see [`ObsConfig::model_label`](super::ObsConfig::model_label)).
     pub model: String,
@@ -99,12 +93,13 @@ pub struct RunManifest {
     pub arena_slots: u64,
     /// Checkpoint cadence in GVT rounds (`None` = off).
     pub checkpoint_every: Option<u64>,
-    /// Heartbeat cadence in GVT rounds (`0` = off).
+    /// Heartbeat cadence in GVT rounds ([`DEFAULT_HEARTBEAT_EVERY`] for
+    /// every run this build writes).
     pub heartbeat_every: u64,
     /// FNV-1a digest (hex) over the canonical engine-config fields, so two
     /// manifests with equal digests ran the same engine configuration.
     pub config_digest: String,
-    /// Build identity (see [`build_tag`]).
+    /// Build identity: `pdes-<crate version>`.
     pub build_tag: String,
     /// Metrics stream file name, relative to the manifest's directory.
     pub metrics: String,
@@ -113,25 +108,20 @@ pub struct RunManifest {
 impl RunManifest {
     /// Build the manifest for an instrumented run. `metrics_path` is where
     /// the JSONL stream will be written; the manifest records its file name
-    /// and derives the default run id from the parent directory.
+    /// and derives the run id from the parent directory.
     pub fn for_run(
         config: &EngineConfig,
         n_lps: u64,
         kernel: &str,
         metrics_path: &Path,
     ) -> RunManifest {
-        let run_id = config
-            .obs
-            .run_id
-            .clone()
-            .unwrap_or_else(|| default_run_id(metrics_path));
         let metrics = metrics_path
             .file_name()
             .map(|n| n.to_string_lossy().into_owned())
             .unwrap_or_else(|| "metrics.jsonl".to_string());
         RunManifest {
             manifest_version: MANIFEST_VERSION,
-            run_id,
+            run_id: run_id(metrics_path),
             model: config
                 .obs
                 .model_label
@@ -152,9 +142,9 @@ impl RunManifest {
                 .unwrap_or(crate::arena::EventArena::<()>::DEFAULT_SLOTS)
                 as u64,
             checkpoint_every: config.checkpoint_every,
-            heartbeat_every: config.obs.heartbeat_every,
+            heartbeat_every: DEFAULT_HEARTBEAT_EVERY,
             config_digest: format!("{:016x}", config_digest(config, n_lps)),
-            build_tag: build_tag().to_string(),
+            build_tag: concat!("pdes-", env!("CARGO_PKG_VERSION")).to_string(),
             metrics,
         }
     }
@@ -253,7 +243,7 @@ impl RunManifest {
     }
 }
 
-fn default_run_id(metrics_path: &Path) -> String {
+fn run_id(metrics_path: &Path) -> String {
     metrics_path
         .parent()
         .and_then(Path::file_name)
@@ -369,10 +359,9 @@ impl RunPhase {
 
 /// One liveness pulse, interleaved into the metrics JSONL stream (`"hb":1`
 /// distinguishes it from snapshot lines). PE 0 emits one at run start,
-/// every [`ObsConfig::heartbeat_every`](super::ObsConfig::heartbeat_every)
-/// GVT rounds, and once at termination with the run's final totals — so a
-/// consumer can tell "healthy but quiet" from "wedged" without parsing the
-/// full snapshot stream.
+/// every [`DEFAULT_HEARTBEAT_EVERY`] GVT rounds, and once at termination
+/// with the run's final totals — so a consumer can tell "healthy but quiet"
+/// from "wedged" without parsing the full snapshot stream.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Heartbeat {
     /// Emitting PE (0: only PE 0 heartbeats).
@@ -587,7 +576,7 @@ impl HealthDetector {
         }
     }
 
-    /// Severity in the [`ObsSeverity`] taxonomy.
+    /// How notable an onset of this detector is.
     pub fn severity(self) -> ObsSeverity {
         match self {
             HealthDetector::RoughnessDivergence => ObsSeverity::Info,
@@ -673,9 +662,17 @@ impl HealthEvent {
     }
 }
 
+/// How notable a [`HealthEvent`] is.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum ObsSeverity {
+    /// Worth seeing, not necessarily wrong.
+    Info,
+    /// The run is, or is about to be, in trouble.
+    Warn,
+}
+
 fn severity_name(sev: ObsSeverity) -> &'static str {
     match sev {
-        ObsSeverity::Debug => "debug",
         ObsSeverity::Info => "info",
         ObsSeverity::Warn => "warn",
     }
@@ -1395,6 +1392,7 @@ impl std::error::Error for AggError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::ObsConfig;
     use crate::time::VirtualTime;
 
     fn test_config() -> EngineConfig {
@@ -1407,12 +1405,12 @@ mod tests {
     #[test]
     fn manifest_round_trips_and_validates() {
         let mut config = test_config();
-        config.obs.run_id = Some("run-07".to_string());
         config.obs.model_label = Some("hotpotato/torus".to_string());
-        config.obs.heartbeat_every = 16;
         let m = RunManifest::for_run(&config, 256, "parallel", Path::new("farm/run-07/m.jsonl"));
         assert_eq!(m.run_id, "run-07");
         assert_eq!(m.metrics, "m.jsonl");
+        assert_eq!(m.heartbeat_every, DEFAULT_HEARTBEAT_EVERY);
+        assert_eq!(m.build_tag, concat!("pdes-", env!("CARGO_PKG_VERSION")));
         assert_eq!(m.scheduler, scheduler_name(SchedulerKind::default()));
         assert_eq!(m.n_lps, 256);
         assert_eq!(m.config_digest.len(), 16);
@@ -1424,9 +1422,7 @@ mod tests {
 
     #[test]
     fn manifest_refuses_unknown_versions_and_garbage() {
-        let mut config = test_config();
-        config.obs.run_id = Some("x".to_string());
-        let m = RunManifest::for_run(&config, 4, "sequential", Path::new("x/m.jsonl"));
+        let m = RunManifest::for_run(&test_config(), 4, "sequential", Path::new("x/m.jsonl"));
         let future = m
             .to_json()
             .replace("\"manifest_version\":1", "\"manifest_version\":999");
@@ -1440,8 +1436,9 @@ mod tests {
     fn config_digest_tracks_engine_not_obs() {
         let a = test_config();
         let mut b = test_config();
-        b.obs.heartbeat_every = 99;
-        b.obs.run_id = Some("other".to_string());
+        b.obs = ObsConfig::verbose()
+            .with_metrics_path("farm/other/metrics.jsonl")
+            .with_model_label("other");
         assert_eq!(
             config_digest(&a, 16),
             config_digest(&b, 16),
@@ -1454,11 +1451,8 @@ mod tests {
 
     #[test]
     fn default_run_id_prefers_parent_dir() {
-        assert_eq!(
-            default_run_id(Path::new("farm/run-03/metrics.jsonl")),
-            "run-03"
-        );
-        assert_eq!(default_run_id(Path::new("metrics.jsonl")), "metrics");
+        assert_eq!(run_id(Path::new("farm/run-03/metrics.jsonl")), "run-03");
+        assert_eq!(run_id(Path::new("metrics.jsonl")), "metrics");
     }
 
     #[test]
@@ -1510,9 +1504,8 @@ mod tests {
     }
 
     fn manifest_for(id: &str, arena_slots: u64) -> RunManifest {
-        let mut config = test_config();
-        config.obs.run_id = Some(id.to_string());
-        let mut m = RunManifest::for_run(&config, 4, "parallel", Path::new("m.jsonl"));
+        let metrics = Path::new(id).join("m.jsonl");
+        let mut m = RunManifest::for_run(&test_config(), 4, "parallel", &metrics);
         m.arena_slots = arena_slots;
         m
     }

@@ -229,7 +229,8 @@ impl BlameCell {
 /// Sealed rollback forensics for one PE — or, after
 /// [`merge`](Self::merge), the whole run. Lives on
 /// [`EngineStats::blame`](crate::stats::EngineStats::blame); structurally
-/// empty under the sequential kernel and when `PDES_OBS_BLAME=0`.
+/// empty under the sequential kernel and when
+/// [`ObsConfig::blame_enabled`](crate::obs::ObsConfig::blame_enabled) is off.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct BlameReport {
     /// Straggler-rooted cascades opened.

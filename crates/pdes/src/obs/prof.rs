@@ -8,15 +8,16 @@
 //! [`Instant`]-pair scope and accumulated into a per-phase log2-bucketed
 //! histogram ([`PhaseHist`]).
 //!
-//! Keeping the overhead inside the sub-3% CI budget means *not* timing every
+//! Keeping the overhead inside the 5 % CI budget (the `overhead` bench's
+//! `default` row against `dark`) means *not* timing every
 //! scope: the hot phases (per-event, micro-second scale) are stride-sampled —
 //! the scope *count* always increments, but only one scope in
 //! `2^sample_shift` pays for the two `Instant::now()` calls. Totals are then
 //! estimated as `sampled_ns × count / sampled`, which is unbiased for the
 //! steady-state phases the kernel has (the stride is deterministic, the
 //! phase durations are not correlated with the stride position). The cold
-//! phases (per-GVT-round scale: barrier waits, fossil collection) are always
-//! timed, so their totals are exact.
+//! phases (per-GVT-round scale: barrier waits, fossil collection,
+//! incremental GVT reductions) are always timed, so their totals are exact.
 //!
 //! Because the phases are *leaves* — no scope ever encloses another — their
 //! estimated totals tile the kernel's busy time, and the share table in
@@ -321,8 +322,8 @@ impl fmt::Display for PhaseProfile {
 /// Chosen so the default-on profiler stays under the default-observability
 /// overhead budget (the `overhead` bench's `default` row) even on one
 /// oversubscribed core, where a clock read costs far
-/// more than the hot-path work it brackets. Lower it (`PDES_OBS_PROF_SHIFT`)
-/// for finer histograms on short runs.
+/// more than the hot-path work it brackets. Every kernel profiler uses it;
+/// [`PhaseProfiler::new`] takes another for finer histograms in tests.
 pub const DEFAULT_SAMPLE_SHIFT: u32 = 7;
 
 /// The per-PE runtime profiler: owns a [`PhaseProfile`] and the sampling

@@ -94,10 +94,9 @@
 //!   events (execute, rollback, cancellation, GVT, comm, pool, fault). On
 //!   failure the newest records are decoded into
 //!   [`PeDiagnostics::trace`](crate::error::PeDiagnostics); memory stays
-//!   ≤ capacity no matter how long or pathological the run. The legacy
-//!   `PDES_TRACE=1` environment toggle (cached once per process) enables
-//!   the recorder at full verbosity via
-//!   [`ObsConfig::from_env`](crate::obs::ObsConfig::from_env).
+//!   ≤ capacity no matter how long or pathological the run.
+//!   [`EngineConfig::new`](crate::config::EngineConfig::new) turns the
+//!   recorder on when the process runs with `PDES_TRACE=1`.
 //! * At every GVT round each PE samples a
 //!   [`RoundSnapshot`](crate::obs::RoundSnapshot) — local virtual time vs
 //!   GVT (the Korniss roughness profile), queue depth, rollback/commit
@@ -106,8 +105,7 @@
 //!   streamed to any configured
 //!   [`MetricsSink`](crate::obs::MetricsSink).
 //! * PE 0 can emit a one-line stderr progress report every K rounds
-//!   ([`ObsConfig::progress_every`](crate::obs::ObsConfig::progress_every),
-//!   env `PDES_OBS_PROGRESS=K`).
+//!   ([`ObsConfig::progress_every`](crate::obs::ObsConfig::progress_every)).
 //!
 //! Observation is write-only and per-PE (no cross-thread synchronization on
 //! the hot path beyond three relaxed-ordering counter adds per GVT round
@@ -224,14 +222,14 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Record one kernel event into this PE's flight recorder. The leading
-/// `wants` check makes a disabled (or filtered) recorder cost one indexed
-/// load and branch — cheap enough not to mask timing-sensitive races.
+/// `enabled` check makes a disabled recorder cost one load and branch —
+/// cheap enough not to mask timing-sensitive races.
 macro_rules! obs {
     ($self:ident, $kind:expr, $id:expr, $key:expr) => {
         obs!($self, $kind, $id, $key, 0u64)
     };
     ($self:ident, $kind:expr, $id:expr, $key:expr, $arg:expr) => {
-        if $self.recorder.wants($kind) {
+        if $self.recorder.enabled() {
             $self
                 .recorder
                 .record(ObsRecord::event($kind, $id, $key, $arg as u64));
@@ -1564,7 +1562,7 @@ impl<'a, M: Model> PeRuntime<'a, M> {
     /// recorder, publish progress deltas, and sample this PE's
     /// [`RoundSnapshot`] into the bounded series and the configured sink.
     fn sample_round(&mut self, gvt: u64) {
-        if self.recorder.wants(ObsKind::GvtAdvance) {
+        if self.recorder.enabled() {
             self.recorder
                 .record(ObsRecord::kernel(ObsKind::GvtAdvance, gvt));
         }
@@ -1938,7 +1936,7 @@ pub(crate) fn run_parallel_inner<M: Model>(
                     hop_buf: Vec::new(),
                     blame: config.obs.build_blame(pe),
                 };
-                if pe == 0 && resumed && rt.recorder.wants(ObsKind::Recovery) {
+                if pe == 0 && resumed && rt.recorder.enabled() {
                     rt.recorder
                         .record(ObsRecord::kernel(ObsKind::Recovery, frame.round));
                 }

@@ -96,7 +96,7 @@ pub(crate) fn run_sequential_inner<M: Model>(
     let mut series = config.obs.build_series();
     let mut profiler = config.obs.build_profiler();
     let mut tracer = config.obs.build_tracer(1);
-    if resumed && recorder.wants(ObsKind::Recovery) {
+    if resumed && recorder.enabled() {
         recorder.record(ObsRecord::kernel(ObsKind::Recovery, round));
     }
 
@@ -145,7 +145,7 @@ pub(crate) fn run_sequential_inner<M: Model>(
             }
 
             bf.clear();
-            if recorder.wants(ObsKind::Execute) {
+            if recorder.enabled() {
                 recorder.record(ObsRecord::event(ObsKind::Execute, entry.id, entry.key, 0));
             }
             let tracing = tracer.enabled();
@@ -178,7 +178,7 @@ pub(crate) fn run_sequential_inner<M: Model>(
                     send_time: entry.key.recv_time,
                 };
                 let id = pending.push(key, emit.payload)?;
-                if recorder.wants(ObsKind::Enqueue) {
+                if recorder.enabled() {
                     recorder.record(ObsRecord::event(ObsKind::Enqueue, id, key, 0));
                 }
             }

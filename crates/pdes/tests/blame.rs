@@ -426,8 +426,8 @@ fn merged_reports_sum_scalars_in_either_order() {
     );
 }
 
-/// `PDES_OBS_BLAME` and `with_blame(false)` both disarm the layer: the
-/// report stays empty while the legacy counters keep counting.
+/// `with_blame(false)` disarms the layer: the report stays empty while the
+/// legacy counters keep counting.
 #[test]
 fn disabled_blame_reports_nothing_but_legacy_counters_survive() {
     let par = [0xB1A3Eu64, 1, 2, 0xDEAD]

@@ -25,6 +25,30 @@ stage "examples: the public run API end to end (release)"
 for example in quickstart custom_model optical_switch static_routing; do
     cargo run --release -q --example "$example" >/dev/null
 done
+# The environment layer end to end, which no test can reach (EngineConfig::new
+# reads the environment once per process): the three variables it reads
+# register, trace and audit a stock binary without a warning, and a variable
+# it no longer reads warns exactly once, by name.
+env_dir="$(mktemp -d "${TMPDIR:-/tmp}/pdes-ci-env.XXXXXX")"
+trap 'rm -rf "$env_dir"' EXIT
+PDES_OBS_METRICS="$env_dir/run/metrics.jsonl" PDES_TRACE=1 PDES_AUDIT=fast \
+    ./target/release/examples/quickstart >/dev/null 2>"$env_dir/stderr"
+test -f "$env_dir/run/run-manifest.json"
+tail -n 1 "$env_dir/run/metrics.jsonl" | grep -q '"state":"end"'
+if grep 'pdes: warning' "$env_dir/stderr"; then
+    echo "the three PDES_* variables the engine reads must not warn" >&2
+    exit 1
+fi
+PDES_GVT=barrier ./target/release/examples/quickstart >/dev/null 2>"$env_dir/stderr"
+if [ "$(grep -c 'pdes: warning.*PDES_GVT' "$env_dir/stderr")" != 1 ] ||
+    [ "$(grep -c 'pdes: warning' "$env_dir/stderr")" != 1 ]; then
+    cat "$env_dir/stderr" >&2
+    echo "PDES_GVT must warn exactly once" >&2
+    exit 1
+fi
+echo "environment layer: 3 variables read silently, PDES_GVT warned once"
+rm -rf "$env_dir"
+trap - EXIT
 
 stage "cargo test -q -p bench (shared statistics; outside default-members)"
 cargo test -q -p bench

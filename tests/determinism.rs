@@ -256,7 +256,8 @@ fn continuity_scenario_matches_pre_arena_golden_output() {
     }
 }
 
-/// The hash-only auditor tier (`PDES_AUDIT=fast`: rollback re-checks,
+/// The hash-only auditor tier (`with_audit_probe(false)`, or
+/// `PDES_AUDIT=fast` from the environment: rollback re-checks,
 /// conservation ledger and scheduler digests, no reverse-replay probe) must
 /// observe without perturbing, like the full tier the debug suites run under.
 #[test]
