@@ -2,11 +2,12 @@
 //! per committed event. A counting `#[global_allocator]` wraps the system
 //! allocator; after a warm-up run, a measured run's *total* allocation count
 //! — including all per-run setup (threads, arenas, rings, queue growth) —
-//! is divided by committed events. Setup is most of the ~0.014
-//! allocs/event this run makes; the steady-state event loop itself
-//! contributes ~0: payloads live in the preallocated arena, schedulers
-//! order `Copy` handles in recycled bucket vectors, remote sends recycle
-//! pooled buffers, and rollback scratch is reused. The 0.02 budget is tight
+//! is divided by committed events. The run's optimism bound is the
+//! model's one-step epoch, so it takes the rollback-free windowed arm.
+//! Setup is most of the ~0.008 allocs/event this run makes; the
+//! steady-state event loop itself contributes ~0: payloads live in the
+//! preallocated arena, schedulers order `Copy` handles in recycled bucket
+//! vectors, and remote sends recycle pooled buffers. The 0.02 budget is tight
 //! on purpose: a leak of one small allocation per event (~171k/run on this
 //! workload) blows it 50×, and one per scheduler bucket (~23k/run) 7×.
 //!
@@ -18,7 +19,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use hotpotato::{HotPotatoConfig, HotPotatoModel};
-use pdes::{EngineConfig, ObsConfig};
+use pdes::{EngineConfig, ObsConfig, VirtualTime};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
@@ -58,7 +59,7 @@ fn main() {
         .with_seed(0xBE9C_0702)
         .with_pes(4)
         .with_kps(64)
-        .with_lookahead(model.natural_lookahead())
+        .with_lookahead(VirtualTime::STEP)
         .with_obs(ObsConfig::disabled())
         .with_audit(false);
 

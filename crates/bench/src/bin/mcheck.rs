@@ -4,8 +4,9 @@
 //! Two modes:
 //!
 //! * default — run every protocol model (`ring`, `ring_spill`, `gvt_inc`,
-//!   `barrier`) against the **unmutated** production code with its CI
-//!   budget, print one summary line per model, and write a JSON artifact.
+//!   `barrier`, `window`) against the **unmutated** production code with
+//!   its CI budget, print one summary line per model, and write a JSON
+//!   artifact.
 //!   Exit 1 if any model reports a violation or fails to exhaust its
 //!   bounded state space (`complete = false` means the budget is too small
 //!   to mean anything — fix the budget, don't ship a partial search).

@@ -4,7 +4,9 @@
 //! and optionally export the run as a Chrome/Perfetto trace and a metrics
 //! JSONL stream. Every file written is re-read and validated as JSON before
 //! the binary exits 0, so CI can use it as an end-to-end check of the
-//! export pipeline.
+//! export pipeline. Optimism is bounded to the model's one-step epoch, so
+//! the run takes the rollback-free windowed arm and its rollback columns
+//! read zero; `rollback_report` is the Time Warp counterpart.
 //!
 //! ```sh
 //! cargo run --release -p bench --bin obs_report -- \
@@ -34,7 +36,9 @@ use std::sync::Arc;
 
 use hotpotato::{HotPotatoConfig, HotPotatoModel};
 use pdes::obs::{chrome, json};
-use pdes::{EngineConfig, EngineStats, JsonlSink, ObsConfig, Phase, Telemetry, TRACE_UNBOUNDED};
+use pdes::{
+    EngineConfig, EngineStats, JsonlSink, ObsConfig, Phase, Telemetry, VirtualTime, TRACE_UNBOUNDED,
+};
 
 fn main() {
     let mut n: u32 = 16;
@@ -97,7 +101,7 @@ fn main() {
         .with_seed(seed)
         .with_pes(pes)
         .with_kps(64)
-        .with_lookahead(model.natural_lookahead())
+        .with_lookahead(VirtualTime::STEP)
         .with_obs(obs);
 
     let run = model.run(&engine).go().expect("parallel run failed");

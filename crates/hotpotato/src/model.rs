@@ -165,18 +165,6 @@ impl<T: Topology> HotPotatoModel<T> {
         Run::new(self, &cfg).mapping(BlockMapping::new(self.cfg.n, cfg.n_kps, cfg.n_pes))
     }
 
-    /// The model's natural optimism bound, in ticks: every cross-router
-    /// event (an ARRIVE) is scheduled exactly one full step ahead, so a
-    /// router executing more than a step past GVT is speculating on inputs
-    /// its neighbors cannot have sent yet. Passing this to
-    /// [`EngineConfig::with_lookahead`](pdes::EngineConfig::with_lookahead)
-    /// caps rollback depth with no loss of exploitable parallelism — on
-    /// oversubscribed hosts (more PEs than cores) it collapses wasted
-    /// speculation to near zero. Committed output is unchanged.
-    pub fn natural_lookahead(&self) -> u64 {
-        VirtualTime::STEP
-    }
-
     // ---- forward handlers -------------------------------------------------
 
     fn handle_arrive(&self, state: &mut RouterState, pkt: Packet, ctx: &mut EventCtx<'_, Msg>) {
@@ -442,6 +430,15 @@ impl<T: Topology> Model for HotPotatoModel<T> {
 
     fn n_lps(&self) -> u32 {
         self.topo.n_nodes()
+    }
+
+    /// One step: every event a router schedules for a neighbour is an
+    /// ARRIVE at the start of the next step (`arrive_time(step + 1, ..)`);
+    /// everything else it schedules is for itself. On torus and mesh alike,
+    /// a run bounded to one step of optimism is therefore windowed and
+    /// rollback-free.
+    fn epoch(&self) -> Option<u64> {
+        Some(VirtualTime::STEP)
     }
 
     fn init(&self, lp: LpId, ctx: &mut InitCtx<'_, Msg>) -> RouterState {

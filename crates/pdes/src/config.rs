@@ -18,8 +18,11 @@ pub enum GvtMode {
     /// `min(queue, held, sent-window)`, PE 0 folds the reports wait-free;
     /// no barrier, no settle loop — unless the run checkpoints: snapshot
     /// frames need the barriered round's sequential-frame quiescence, so
-    /// checkpointing runs use [`Barrier`](GvtMode::Barrier). This is the
-    /// default.
+    /// checkpointing runs use [`Barrier`](GvtMode::Barrier). When the model
+    /// declares an epoch ([`Model::epoch`](crate::model::Model::epoch)) and
+    /// [`max_lookahead`](EngineConfig::max_lookahead) is at most that epoch,
+    /// a non-checkpointing run takes the rollback-free windowed arm instead,
+    /// whose PEs agree on one minimum per window. This is the default.
     #[default]
     Auto,
     /// Classic Fujimoto-style barriered reduction: every round, all PEs
@@ -65,6 +68,10 @@ pub struct EngineConfig {
     /// rounds. Bounds rollback depth (and memory) at the cost of more
     /// frequent GVT rounds. A ceiling of one step or less is never narrowed.
     /// `None` = unbounded optimism (classic Time Warp), never throttled.
+    /// A ceiling at or below the model's declared epoch
+    /// ([`Model::epoch`](crate::model::Model::epoch)) allows no speculation
+    /// the epoch does not make safe, so such a run takes the rollback-free
+    /// windowed arm unless it is barriered (see [`GvtMode`]).
     /// Committed output is identical at every setting.
     pub max_lookahead: Option<u64>,
     /// Deterministic fault injection at the inter-PE inbox boundary (see

@@ -19,7 +19,7 @@ use std::fmt;
 use std::time::Duration;
 
 use crate::audit::AuditViolation;
-use crate::event::PeId;
+use crate::event::{LpId, PeId};
 use crate::obs::{FlightRecorder, RecorderSummary};
 use crate::stats::EngineStats;
 
@@ -97,6 +97,25 @@ pub enum RunError {
         /// Post-mortem snapshot of the whole machine.
         diagnostics: RunDiagnostics,
     },
+    /// The model broke its [`Model::epoch`](crate::model::Model::epoch)
+    /// promise on a windowed run: LP `lp`, executing at `send_time`,
+    /// scheduled an event for another LP at `recv_time`, before the end of
+    /// the epoch it was executing in (`epoch_end`). The window it would have
+    /// landed in may already have run on its destination, so the run stops
+    /// here instead of committing a divergent history.
+    EpochViolated {
+        /// The sending LP.
+        lp: LpId,
+        /// When the sender executed (ticks).
+        send_time: u64,
+        /// The receive time it scheduled (ticks).
+        recv_time: u64,
+        /// The end of the sender's epoch: the earliest receive time the
+        /// promise allows (ticks).
+        epoch_end: u64,
+        /// Post-mortem snapshot of the whole machine.
+        diagnostics: RunDiagnostics,
+    },
     /// Run-registry instrumentation failed before any event executed: the
     /// run directory, manifest, or metrics stream could not be created (see
     /// [`obs::agg`](crate::obs::agg)). An instrumented run that cannot
@@ -130,6 +149,7 @@ impl RunError {
             RunError::GvtStalled { diagnostics, .. } => Some(diagnostics),
             RunError::AuditFailed { diagnostics, .. } => Some(diagnostics),
             RunError::ArenaExhausted { diagnostics, .. } => Some(diagnostics),
+            RunError::EpochViolated { diagnostics, .. } => Some(diagnostics),
             RunError::ConfigInvalid { .. }
             | RunError::WorkerLost { .. }
             | RunError::Checkpoint { .. }
@@ -189,6 +209,19 @@ impl fmt::Display for RunError {
                     f,
                     "PE {pe} event arena exhausted ({capacity} slots live); raise \
                      arena_slots or lower gvt_interval\n{diagnostics}"
+                )
+            }
+            RunError::EpochViolated {
+                lp,
+                send_time,
+                recv_time,
+                epoch_end,
+                diagnostics,
+            } => {
+                write!(
+                    f,
+                    "epoch promise broken: LP {lp} at {send_time} scheduled another LP at \
+                     {recv_time}, before its epoch ends at {epoch_end}\n{diagnostics}"
                 )
             }
         }
@@ -338,6 +371,12 @@ pub(crate) enum FailureCause {
         pe: PeId,
         capacity: u32,
     },
+    EpochViolated {
+        lp: LpId,
+        send_time: u64,
+        recv_time: u64,
+        epoch_end: u64,
+    },
 }
 
 impl From<AuditViolation> for FailureCause {
@@ -372,6 +411,18 @@ impl FailureCause {
             FailureCause::ArenaExhausted { pe, capacity } => RunError::ArenaExhausted {
                 pe,
                 capacity,
+                diagnostics,
+            },
+            FailureCause::EpochViolated {
+                lp,
+                send_time,
+                recv_time,
+                epoch_end,
+            } => RunError::EpochViolated {
+                lp,
+                send_time,
+                recv_time,
+                epoch_end,
                 diagnostics,
             },
         }

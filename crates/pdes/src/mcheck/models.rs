@@ -11,16 +11,19 @@ use super::mutation::Mutation;
 use super::rt::{check, explore, yield_now, ExploreConfig, ModelReport};
 use crate::comm::{CommFabric, SpscRing};
 use crate::event::{ChildRef, EventId, EventKey, Remote};
+use crate::fault::{FaultPlan, FaultState};
 use crate::gvt::IncGvt;
 use crate::obs::blame::CascadeTag;
+use crate::parallel::window::{hand_off, WindowSync};
 use crate::pool::VecPool;
+use crate::stats::EngineStats;
 use crate::sync::AbortableBarrier;
 use crate::time::VirtualTime;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// All model names, in the order the runner executes them.
-pub const MODEL_NAMES: [&str; 4] = ["ring", "ring_spill", "gvt_inc", "barrier"];
+pub const MODEL_NAMES: [&str; 5] = ["ring", "ring_spill", "gvt_inc", "barrier", "window"];
 
 /// Run the named model under `cfg`. Returns `None` for unknown names.
 pub fn run_model(name: &str, cfg: &ExploreConfig) -> Option<ModelReport> {
@@ -29,6 +32,7 @@ pub fn run_model(name: &str, cfg: &ExploreConfig) -> Option<ModelReport> {
         "ring_spill" => ring_spill(cfg),
         "gvt_inc" => gvt_inc(cfg),
         "barrier" => barrier(cfg),
+        "window" => window(cfg),
         _ => return None,
     })
 }
@@ -50,6 +54,7 @@ pub fn default_cfg(name: &str) -> ExploreConfig {
         "ring_spill" => {}
         "gvt_inc" => {}
         "barrier" => {}
+        "window" => {}
         _ => {}
     }
     cfg
@@ -62,6 +67,9 @@ pub fn mutation_target(m: Mutation) -> &'static str {
         Mutation::SwallowSpill => "ring_spill",
         Mutation::GvtSkipEpochBump | Mutation::GvtReportRoundRelaxed => "gvt_inc",
         Mutation::BarrierAbortNoNotify => "barrier",
+        Mutation::WindowDoneBeforeFlush | Mutation::WindowDoneRelaxed | Mutation::WindowOneSlot => {
+            "window"
+        }
     }
 }
 
@@ -391,6 +399,100 @@ pub fn barrier(cfg: &ExploreConfig) -> ModelReport {
     })
 }
 
+// ---------------------------------------------------------------------------
+// window: the windowed arm's hand-off delivers every window's messages and
+// agrees on one minimum
+// ---------------------------------------------------------------------------
+
+/// Scripted reports: `REPORTS[pe][w - 1]` is what `pe` hands off for window
+/// `w`. They differ between windows, so a report read for the wrong window
+/// changes the agreed minimum.
+const REPORTS: [[u64; 2]; 2] = [[10, 30], [50, 20]];
+
+/// Two PEs hand off two windows, as the windowed arm's PE loop does. In
+/// window 1, PE 0 sent one message to PE 1 (receive time 10, so its report
+/// is 10); it sits in PE 0's send buffer and only `hand_off`'s flush pushes
+/// it into the ring. PE 1 runs the fault filter on every drain while it
+/// waits — with `delay = 1` it holds every message back — so only the
+/// verbatim drain after the wait can deliver it.
+///
+/// Invariants, checked by each PE once it has agreed on a window:
+///
+/// * PE 1 has delivered every message sent in that window or earlier (a
+///   window boundary is a delivery guarantee — kills "done before flush",
+///   and "done stored Relaxed" through the unsynchronised ring read);
+/// * the agreed minimum equals the true minimum of that window's reports
+///   (kills "one report slot", where PE 0's report for window 2 overwrites
+///   the one PE 1 is still to read for window 1, and "done stored Relaxed"
+///   through a stale report).
+pub fn window(cfg: &ExploreConfig) -> ModelReport {
+    explore("window", cfg, |s| {
+        let fab = Arc::new(CommFabric::<()>::with_ring_slots(2, 2));
+        let sync = Arc::new(WindowSync::new(2));
+        for (pe, mine) in REPORTS.into_iter().enumerate() {
+            let (fab, sync) = (fab.clone(), sync.clone());
+            s.thread(if pe == 0 { "pe0" } else { "pe1" }, move || {
+                // Sequence numbers of the messages this PE has delivered.
+                let mut delivered = Vec::new();
+                let mut pool = VecPool::new();
+                let mut faults = FaultState::new(FaultPlan::new(1).with_delay(1.0), pe);
+                let mut stats = EngineStats::default();
+                for w in 1..=2u64 {
+                    let mut batch = Some(vec![msg(0)]).filter(|_| pe == 0 && w == 1);
+                    let report = mine[w as usize - 1];
+                    hand_off(&sync, pe, w, report, || {
+                        if let Some(batch) = batch.take() {
+                            fab.push_batch(0, 1, batch);
+                        }
+                    });
+                    let mut waited = false;
+                    for _ in 0..2 {
+                        if sync.all_done(w) {
+                            waited = true;
+                            break;
+                        }
+                        if pe == 1 {
+                            let mut inbox = Vec::new();
+                            fab.drain_to(pe, &mut inbox, &mut pool);
+                            let passed = faults.filter(inbox, &mut stats);
+                            delivered.extend(seqs(&passed));
+                        }
+                        yield_now();
+                    }
+                    if !waited {
+                        // The peer never handed off in this interleaving.
+                        return;
+                    }
+                    if pe == 1 {
+                        let mut inbox = Vec::new();
+                        faults.take_holdback(&mut inbox);
+                        fab.drain_to(pe, &mut inbox, &mut pool);
+                        delivered.extend(seqs(&inbox));
+                        check(
+                            delivered == [0],
+                            &format!("window {w} passed with {delivered:?} delivered"),
+                        );
+                    }
+                    let agreed = sync.min_report(w);
+                    let want = REPORTS.iter().map(|r| r[w as usize - 1]).min().unwrap();
+                    check(
+                        agreed == want,
+                        &format!("pe{pe} agreed {agreed} on window {w}, the minimum is {want}"),
+                    );
+                }
+            });
+        }
+        s.finale(move || {
+            // Empty the rings after every thread has finished, so the
+            // fabric is dropped here and holds nothing when it is.
+            let (mut pool, mut rest) = (VecPool::new(), Vec::new());
+            for pe in 0..2 {
+                fab.drain_to(pe, &mut rest, &mut pool);
+            }
+        });
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::super::mutation;
@@ -436,6 +538,13 @@ mod tests {
         let _g = serial();
         mutation::set(None);
         assert_clean("barrier");
+    }
+
+    #[test]
+    fn window_model_is_clean_and_complete() {
+        let _g = serial();
+        mutation::set(None);
+        assert_clean("window");
     }
 
     #[test]

@@ -31,14 +31,29 @@ pub enum Mutation {
     /// `AbortableBarrier::abort` sets the flag but skips `notify_all`:
     /// a waiter already parked on the condvar is stranded forever.
     BarrierAbortNoNotify,
+    /// The windowed arm's `hand_off` marks the window done before flushing
+    /// its send buffers: a peer can pass the boundary before the last batch
+    /// of the window lands in its ring.
+    WindowDoneBeforeFlush,
+    /// `WindowSync::publish` stores the done counter with `Relaxed` instead
+    /// of `Release`: a peer that sees the window done can still read a
+    /// stale report, or an empty ring.
+    WindowDoneRelaxed,
+    /// `WindowSync` keeps one report slot per PE instead of two: a PE that
+    /// runs a window ahead overwrites the report a slower peer has yet to
+    /// read, and the two agree on different minima.
+    WindowOneSlot,
 }
 
-const ALL: [Mutation; 5] = [
+const ALL: [Mutation; 8] = [
     Mutation::RingPublishRelaxed,
     Mutation::GvtSkipEpochBump,
     Mutation::GvtReportRoundRelaxed,
     Mutation::SwallowSpill,
     Mutation::BarrierAbortNoNotify,
+    Mutation::WindowDoneBeforeFlush,
+    Mutation::WindowDoneRelaxed,
+    Mutation::WindowOneSlot,
 ];
 
 /// All known mutations, in self-test order.
@@ -54,6 +69,9 @@ fn encode(m: Option<Mutation>) -> u8 {
         Some(Mutation::GvtReportRoundRelaxed) => 3,
         Some(Mutation::SwallowSpill) => 4,
         Some(Mutation::BarrierAbortNoNotify) => 5,
+        Some(Mutation::WindowDoneBeforeFlush) => 6,
+        Some(Mutation::WindowDoneRelaxed) => 7,
+        Some(Mutation::WindowOneSlot) => 8,
     }
 }
 

@@ -310,6 +310,25 @@ pub trait Model: Send + Sync + 'static {
     /// Default: nothing. Use for irreversible side effects (I/O).
     fn commit(&self, _payload: &Self::Payload, _lp: LpId, _at: VirtualTime) {}
 
+    /// The model's lookahead as an aligned epoch `E` in ticks: `Some(E)`
+    /// promises that every event an LP schedules for *another* LP while
+    /// executing at a time in `[kE, (k+1)E)` carries a receive time
+    /// `≥ (k+1)E`. Events an LP schedules for itself are unconstrained.
+    ///
+    /// The parallel kernel then runs the run rollback-free, one epoch-wide
+    /// window at a time, whenever the optimism bound
+    /// ([`EngineConfig::max_lookahead`](crate::config::EngineConfig::max_lookahead))
+    /// is set to at most `E` and the run uses no barriered GVT (no
+    /// checkpointing, no explicit
+    /// [`GvtMode::Barrier`](crate::config::GvtMode::Barrier)). A send that
+    /// breaks the promise fails that run with
+    /// [`RunError::EpochViolated`](crate::error::RunError::EpochViolated).
+    /// The default, `None` (and `Some(0)`), declares nothing: the run is
+    /// Time Warp.
+    fn epoch(&self) -> Option<u64> {
+        None
+    }
+
     /// Feed every field that [`reverse`](Self::reverse) is responsible for
     /// restoring into the auditor's hasher. The runtime auditor (see
     /// [`pdes::audit`](crate::audit)) fingerprints LP state around a

@@ -1,4 +1,5 @@
-//! Optimistic (Time Warp) parallel kernel.
+//! The parallel kernel: optimistic (Time Warp), or windowed conservative
+//! when the model allows it.
 //!
 //! Architecture (mirroring ROSS, paper Section 3.2):
 //!
@@ -28,6 +29,11 @@
 //!   the global sent/received counters agree, and take the min of their
 //!   queue heads. Events older than GVT are *committed* and
 //!   fossil-collected.
+//! * **Windowed conservative arm** (`parallel/window.rs`) — when the model
+//!   declares an epoch ([`Model::epoch`]), the optimism bound is within it
+//!   and the run is not barriered, none of the above runs: the PEs execute
+//!   and commit one epoch at a time and agree barrier-free where the next
+//!   one starts. Nothing is ever rolled back.
 //!
 //! Determinism: because the commit order is the total [`EventKey`] order —
 //! logical fields only — a parallel run commits exactly the sequential
@@ -237,6 +243,8 @@ macro_rules! obs {
     };
 }
 
+pub(crate) mod window;
+
 /// Unwind marker: this PE must stop because a peer recorded a failure (or it
 /// recorded one itself). Carries nothing — the cause lives in `Shared`.
 struct Halt;
@@ -256,6 +264,8 @@ struct Shared<P> {
     /// report slots, and the incremental epochs — see
     /// [`crate::gvt::IncGvt`].
     gvt: IncGvt,
+    /// The windowed arm's agreement (see [`window`]).
+    window: window::WindowSync,
     /// Rendezvous for the GVT protocol; aborted on failure so no PE can
     /// block forever.
     barrier: AbortableBarrier,
@@ -513,10 +523,15 @@ impl<'a, M: Model> PeRuntime<'a, M> {
         }
     }
 
-    /// The PE main loop, under either GVT protocol (both commit the
-    /// identical event order). Returns `Ok` once GVT has passed the
-    /// horizon, `Err` when the run was aborted by a failure on any PE.
+    /// The PE main loop: the windowed arm when the model's epoch allows it
+    /// ([`window::window_epoch`]), else Time Warp under either GVT protocol
+    /// (all three commit the identical event order). Returns `Ok` once GVT
+    /// has passed the horizon, `Err` when the run was aborted by a failure
+    /// on any PE.
     fn run(&mut self) -> Result<(), Halt> {
+        if let Some(epoch) = window::window_epoch(self.model, self.config) {
+            return self.run_windows(epoch);
+        }
         let mut sync = if self.config.barriered_gvt() {
             GvtSync::Barrier
         } else {
@@ -1159,6 +1174,40 @@ impl<'a, M: Model> PeRuntime<'a, M> {
         id
     }
 
+    /// The auditor's reverse-replay probe of `entry` on its LP (local index
+    /// `li`, see [`audit::probe_reverse`]): the LP's fingerprint, or the
+    /// violation.
+    fn probe(&mut self, li: usize, entry: &QueueEntry) -> Result<u64, AuditViolation> {
+        let slot = &mut self.slots[li];
+        let payload = self.arena.get_mut(entry.slot);
+        let (state, rng, scratch) = (&mut slot.state, &mut slot.rng, &mut self.probe_buf);
+        audit::probe_reverse(self.model, self.id, state, rng, entry, payload, scratch)
+    }
+
+    /// Run the model's forward handler for `entry` on its LP (local index
+    /// `li`) under a [`Phase::Execute`] scope: emissions land in `emits`,
+    /// branch bits in `bf`, traced hops in `hop_buf`.
+    #[inline]
+    fn run_handler(&mut self, li: usize, entry: &QueueEntry, emits: &mut Vec<Emit<M::Payload>>) {
+        let tracing = self.tracer.enabled();
+        let t0 = self.profiler.begin(Phase::Execute);
+        let slot = &mut self.slots[li];
+        let mut ctx = EventCtx {
+            lp: entry.key.dst,
+            src: entry.key.src,
+            now: entry.key.recv_time,
+            send_time: entry.key.send_time,
+            bf: &mut self.bf,
+            rng: &mut slot.rng,
+            out: emits,
+            obs: Some(&mut self.recorder),
+            trace: tracing.then_some(&mut self.hop_buf),
+        };
+        let payload = self.arena.get_mut(entry.slot);
+        self.model.handle(&mut slot.state, payload, &mut ctx);
+        self.profiler.end(Phase::Execute, t0);
+    }
+
     /// Forward-execute one event and record it for possible rollback. The
     /// payload is borrowed in place from the arena — executing moves no
     /// model bytes. Fails only on arena exhaustion while landing children.
@@ -1181,21 +1230,9 @@ impl<'a, M: Model> PeRuntime<'a, M> {
         let audit_hash = if self.audit.is_none() {
             None
         } else if self.snapshot_fn.is_none() && self.config.audit_probe {
-            let slot = &mut self.slots[li];
-            let payload = self.arena.get_mut(entry.slot);
-            let scratch = &mut self.probe_buf;
-            audit::probe_reverse(
-                self.model,
-                self.id,
-                &mut slot.state,
-                &mut slot.rng,
-                &entry,
-                payload,
-                scratch,
-            )
             // A failed probe fails the run; this PE halts at the end of the
             // batch, before the placeholder hash could ever be compared.
-            .map_or_else(
+            self.probe(li, &entry).map_or_else(
                 |v| {
                     self.audit_violation(v);
                     Some(0)
@@ -1214,25 +1251,7 @@ impl<'a, M: Model> PeRuntime<'a, M> {
             .snapshot_fn
             .map(|f| f(&self.slots[li].state, &self.slots[li].rng));
         let rng_before = self.slots[li].rng.call_count();
-        let tracing = self.tracer.enabled();
-        let t0 = self.profiler.begin(Phase::Execute);
-        {
-            let slot = &mut self.slots[li];
-            let payload = self.arena.get_mut(entry.slot);
-            let mut ctx = EventCtx {
-                lp,
-                src: entry.key.src,
-                now: entry.key.recv_time,
-                send_time: entry.key.send_time,
-                bf: &mut self.bf,
-                rng: &mut slot.rng,
-                out: &mut emits,
-                obs: Some(&mut self.recorder),
-                trace: tracing.then_some(&mut self.hop_buf),
-            };
-            self.model.handle(&mut slot.state, payload, &mut ctx);
-        }
-        self.profiler.end(Phase::Execute, t0);
+        self.run_handler(li, &entry, &mut emits);
         let rng_calls = u32::try_from(self.slots[li].rng.call_count() - rng_before)
             .expect("one handler call made 2^32 RNG draws");
 
@@ -1313,12 +1332,16 @@ impl<'a, M: Model> PeRuntime<'a, M> {
         self.blame.on_execute(entry.id);
         self.since_gvt += 1;
         halted?;
+        self.crash_if_due();
+        Ok(())
+    }
 
-        // Crash injection: a real panic on the chosen PE, contained by the
-        // same `catch_unwind` as any model panic — so supervised recovery is
-        // exercised through the production failure path, not a simulation of
-        // it. Checked on the plan directly (not `FaultState`): a kill-only
-        // plan injects no message chaos.
+    /// Crash injection: a real panic on the chosen PE, contained by the same
+    /// `catch_unwind` as any model panic — so supervised recovery is
+    /// exercised through the production failure path, not a simulation of
+    /// it. Checked on the plan directly (not `FaultState`): a kill-only plan
+    /// injects no message chaos.
+    fn crash_if_due(&self) {
         if let Some(plan) = self.config.fault_plan.as_ref() {
             if plan.kill_pe == Some(self.id as u32)
                 && plan.kill_after > 0
@@ -1330,7 +1353,6 @@ impl<'a, M: Model> PeRuntime<'a, M> {
                 );
             }
         }
-        Ok(())
     }
 
     /// One barriered GVT round, in lockstep on every PE: quiesce with each
@@ -1451,10 +1473,28 @@ impl<'a, M: Model> PeRuntime<'a, M> {
         let t0 = self.profiler.begin(Phase::Fossil);
         self.fossil_collect(VirtualTime(gvt));
         self.profiler.end(Phase::Fossil, t0);
-        // Auditor: the scheduler's recomputed content fingerprint must match
-        // the kernel's push/pop/remove mirror, and its structural invariants
-        // must hold. (Only a barriered round is quiescent here, but the
-        // mirror is PE-local and the queue is stable between events.)
+        // (Only a barriered round is quiescent here, but the mirror is
+        // PE-local and the queue is stable between events.)
+        self.audit_scheduler()?;
+        // Checkpoint boundary (all PEs agree, see `ckpt::due`). Checkpointing
+        // implies the barriered protocol (`EngineConfig::barriered_gvt`), so
+        // an incremental round never is one.
+        if ckpt::due(self.config, self.round, gvt, self.last_ckpt_gvt) {
+            self.checkpoint_round(gvt)?;
+        }
+        self.sample_round(gvt, self.shared.gvt.report(self.id));
+        self.since_gvt = 0;
+        self.idle_polls = 0;
+        // Marked last, so a checkpoint capture's own unwinding (above) is
+        // not read as rollback echo by the next round's controller.
+        self.window_marks = (self.stats.events_processed, self.stats.events_rolled_back);
+        Ok(())
+    }
+
+    /// Auditor: the scheduler's recomputed content fingerprint must match
+    /// the kernel's push/pop/remove mirror, and its structural invariants
+    /// must hold.
+    fn audit_scheduler(&mut self) -> Result<(), Halt> {
         let sched_check = self.audit.as_ref().map(|a| {
             a.check_scheduler(
                 self.id,
@@ -1462,20 +1502,7 @@ impl<'a, M: Model> PeRuntime<'a, M> {
                 self.queue.check_invariants(),
             )
         });
-        self.audit_gate(sched_check)?;
-        // Checkpoint boundary (all PEs agree, see `ckpt::due`). Checkpointing
-        // implies the barriered protocol (`EngineConfig::barriered_gvt`), so
-        // an incremental round never is one.
-        if ckpt::due(self.config, self.round, gvt, self.last_ckpt_gvt) {
-            self.checkpoint_round(gvt)?;
-        }
-        self.sample_round(gvt);
-        self.since_gvt = 0;
-        self.idle_polls = 0;
-        // Marked last, so a checkpoint capture's own unwinding (above) is
-        // not read as rollback echo by the next round's controller.
-        self.window_marks = (self.stats.events_processed, self.stats.events_rolled_back);
-        Ok(())
+        self.audit_gate(sched_check)
     }
 
     /// Capture one snapshot of the committed machine state at `gvt`, in
@@ -1561,7 +1588,9 @@ impl<'a, M: Model> PeRuntime<'a, M> {
     /// [`end_round`](Self::end_round): record the GVT advance in the flight
     /// recorder, publish progress deltas, and sample this PE's
     /// [`RoundSnapshot`] into the bounded series and the configured sink.
-    fn sample_round(&mut self, gvt: u64) {
+    /// `lvt` is the minimum this PE reported for the round (`u64::MAX` =
+    /// idle).
+    fn sample_round(&mut self, gvt: u64, lvt: u64) {
         if self.recorder.enabled() {
             self.recorder
                 .record(ObsRecord::kernel(ObsKind::GvtAdvance, gvt));
@@ -1594,8 +1623,7 @@ impl<'a, M: Model> PeRuntime<'a, M> {
             pe: self.id,
             wall_us: self.start_time.elapsed().as_micros() as u64,
             gvt,
-            // The minimum this PE published for the round (u64::MAX = idle).
-            lvt: self.shared.gvt.report(self.id),
+            lvt,
             queue_depth: self.queue.len() as u64,
             uncommitted: self.kps.iter().map(|kp| kp.uncommitted() as u64).sum(),
             inbox_depth: self.shared.fabric.inbox_depth(self.id),
@@ -1842,6 +1870,7 @@ pub(crate) fn run_parallel_inner<M: Model>(
         sent: AtomicU64::new(0),
         received: AtomicU64::new(0),
         gvt: IncGvt::new(n_pes, frame.gvt),
+        window: window::WindowSync::new(n_pes),
         barrier: AbortableBarrier::new(n_pes),
         failure: Mutex::new(None),
         committed: AtomicU64::new(0),

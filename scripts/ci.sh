@@ -81,7 +81,9 @@ stage "mcheck: exhaustive concurrency model checking (--cfg mcheck)"
 # The in-tree model checker (pdes::mcheck) explores every bounded
 # interleaving + weak-memory read choice of the lock-free protocols: SPSC
 # ring transfer (incl. index wraparound), spill/drain conservation,
-# incremental GVT safety, abortable-barrier liveness. Budgets are fixed in
+# incremental GVT safety, abortable-barrier liveness, and the windowed
+# arm's hand-off (flush before done, parity report slots, a fault-held
+# message the verbatim drain must release). Budgets are fixed in
 # models::default_cfg, so the stage is deterministic; `complete=true` for
 # every model is asserted via the JSON below. The separate target dir keeps
 # the native cargo cache warm. Unconditional: no nightly toolchain needed.
@@ -93,28 +95,29 @@ RUSTFLAGS="--cfg mcheck" CARGO_TARGET_DIR=target/mcheck \
 ./target/mcheck/release/mcheck --out=artifacts/mcheck.json
 # Mutation kill gate: each seeded concurrency bug (Relaxed publication,
 # skipped epoch bump, relaxed round slot, swallowed spill, notify-free
-# abort) must be caught by its covering model, with the failing
-# interleaving printed.
+# abort, window done before flush, Relaxed done counter, one report slot)
+# must be caught by its covering model, with the failing interleaving
+# printed.
 ./target/mcheck/release/mcheck --self-test --out=artifacts/mcheck_selftest.json
 if command -v python3 >/dev/null 2>&1; then
     python3 - artifacts/mcheck.json artifacts/mcheck_selftest.json <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     models = json.load(f)["models"]
-assert len(models) == 4, models
+assert len(models) == 5, models
 for m in models:
     assert m["complete"], f"{m['name']}: state space not exhausted"
     assert m["violation"] is None, f"{m['name']}: {m['violation']}"
     assert m["schedules"] > 1, f"{m['name']}: trivial exploration"
 with open(sys.argv[2]) as f:
     muts = json.load(f)["mutations"]
-assert len(muts) == 5, muts
+assert len(muts) == 8, muts
 for mu in muts:
     assert mu["killed"], f"mutation {mu['mutation']} survived {mu['model']}"
 print(f"mcheck.json: {len(models)} models complete "
       f"({sum(m['schedules'] for m in models)} schedules, "
       f"{sum(m['transitions'] for m in models)} transitions); "
-      f"{len(muts)}/5 mutations killed")
+      f"{len(muts)}/8 mutations killed")
 EOF
 fi
 
@@ -165,30 +168,36 @@ fi
 
 stage "overhead: toggle costs vs same-process references (BENCH_overhead.json)"
 # One interleaved paired-sample table on the continuity scenario (4-PE 16x16
-# torus): every mode must commit the sequential oracle's output before it is
-# timed; default obs <= 5% over dark, hub <= 5% over default, blame-on <= 3%
-# over blame-off, each above the reference row's measured noise floor; the
+# torus, Time Warp under a two-step bound — above the model's epoch, so the
+# blame and profiler rows price Time Warp's instrumentation): every mode
+# must commit the sequential oracle's output before it is timed; default
+# obs <= 5% over dark, hub <= 5% over default, blame-on <= 3% over
+# blame-off, each above the reference row's measured noise floor; the
 # profiler, packet-trace, verbose, jsonl, audit and checkpoint rows are
 # informational. Self-validates its JSON and exits 1 on a gate failure.
 # Throughput itself is benchmark/run.sh's job, not this script's.
 ./target/release/overhead --out=artifacts/BENCH_overhead.json
 
-stage "chaos: recovery matrix + both GVT protocols at release timing"
+stage "chaos: recovery matrix + all three sync arms at release timing"
 # Release-mode rerun of the crash-recovery matrix: killed parallel runs are
 # resumed from the newest intact snapshot and must commit bit-identical
 # output to the uninterrupted sequential oracle across {default (ladder),
 # heap} schedulers x {1,2,4} PEs; torn snapshots must be rejected with
 # fallback.
-# window and comm_determinism run the one PE loop under both GVT protocols
-# (delay + reorder faults, 2 and 3 PEs) against the oracle at release-build
+# window and comm_determinism run the one PE loop under both Time Warp GVT
+# protocols (delay + reorder faults, 2 and 3 PEs), and conservative runs
+# the windowed arm (1/2/4 PEs, checkerboard, delay + duplicate + reorder,
+# supervised kill, mid-step resume), against the oracle at release-build
 # timing, where the debug auditor no longer slows the rings down.
-cargo test --release -q --test checkpoint --test window --test comm_determinism
+cargo test --release -q --test checkpoint --test window --test comm_determinism \
+    --test conservative
 
 stage "alloc smoke: ~0 allocations per committed event"
-# Counting global allocator over a warm 4-PE run: total allocations
-# (including per-run setup) divided by committed events must stay under the
-# 0.02 budget — about 1.5x today's figure, so one leaked allocation per
-# event, or one per scheduler bucket, fails.
+# Counting global allocator over a warm 4-PE run on the windowed arm (its
+# bound is the model's one-step epoch): total allocations (including
+# per-run setup) divided by committed events must stay under the 0.02
+# budget — about 2.5x today's 0.008, so one leaked allocation per event,
+# or one per scheduler bucket, fails.
 ./target/release/alloc_smoke
 
 stage "forensics smoke: rollback_report on the figure-7 regime"

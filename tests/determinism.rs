@@ -10,7 +10,7 @@
 use hotpotato::{HotPotatoConfig, HotPotatoModel, PolicyKind};
 use std::sync::Arc;
 
-use pdes::{EngineConfig, MemorySink, ObsConfig, SchedulerKind};
+use pdes::{EngineConfig, MemorySink, ObsConfig, SchedulerKind, VirtualTime};
 
 fn engine(model: &HotPotatoModel<topo::Torus>, seed: u64) -> EngineConfig {
     // Every determinism run executes at maximum observability — full flight
@@ -245,12 +245,26 @@ fn continuity_scenario_matches_pre_arena_golden_output() {
     let model = HotPotatoModel::torus(HotPotatoConfig::new(16, 96).with_injectors(0.4));
     let cfg = engine(&model, 0xBE9C_0702)
         .with_kps(64)
-        .with_lookahead(model.natural_lookahead());
+        .with_lookahead(VirtualTime::STEP);
     // `model.run` sets the model's block mapping; the sequential kernel
-    // ignores it.
+    // ignores it. A one-step bound is the model's epoch, so the 4-PE run is
+    // windowed; a two-step bound keeps it on Time Warp.
     let seq = model.run(&cfg).sequential().go().unwrap();
-    let par = model.run(&cfg.clone().with_pes(4)).go().unwrap();
-    for (kernel, run) in [("sequential", &seq), ("parallel 4 PE", &par)] {
+    let windowed = model.run(&cfg.clone().with_pes(4)).go().unwrap();
+    assert_eq!(windowed.stats.events_rolled_back, 0);
+    let tw = model
+        .run(
+            &cfg.clone()
+                .with_pes(4)
+                .with_lookahead(2 * VirtualTime::STEP),
+        )
+        .go()
+        .unwrap();
+    for (kernel, run) in [
+        ("sequential", &seq),
+        ("windowed 4 PE", &windowed),
+        ("Time Warp 4 PE", &tw),
+    ] {
         assert_eq!(run.stats.events_committed, GOLDEN_COMMITTED, "{kernel}");
         assert_eq!(format!("{:?}", run.output), GOLDEN_OUTPUT, "{kernel}");
     }
