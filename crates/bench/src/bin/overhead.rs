@@ -105,7 +105,7 @@ const MODES: &[Mode] = &[
         vs: Some(("dark", None)),
     },
     // JSONL streaming through an explicit sink, no manifest — attribution
-    // for the `hub` row.
+    // for the `registered` row.
     Mode {
         name: "jsonl",
         cfg: |b, dir| {
@@ -116,7 +116,7 @@ const MODES: &[Mode] = &[
     },
     // Registered run: manifest + JSONL stream + heartbeats.
     Mode {
-        name: "hub",
+        name: "registered",
         cfg: |b, dir| {
             let o = ObsConfig::default().with_metrics_path(dir.join("metrics.jsonl"));
             obs(b, o)

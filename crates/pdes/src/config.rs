@@ -411,7 +411,7 @@ struct EnvDefaults {
     trace: bool,
     /// `PDES_AUDIT`: `(audit, audit_probe)`; `None` = the build's default.
     audit: Option<(bool, bool)>,
-    /// `PDES_OBS_METRICS`: register the run with a farm.
+    /// `PDES_OBS_METRICS`: register the run (manifest + metrics stream).
     metrics_path: Option<PathBuf>,
     /// One stderr line per ignored variable.
     warnings: Vec<String>,

@@ -119,8 +119,8 @@ pub enum RunError {
     /// Run-registry instrumentation failed before any event executed: the
     /// run directory, manifest, or metrics stream could not be created (see
     /// [`obs::agg`](crate::obs::agg)). An instrumented run that cannot
-    /// register would be a silent gap in the fleet registry, so this is an
-    /// error, not a warning.
+    /// register would leave its reader with no files, so this is an error,
+    /// not a warning.
     Obs {
         /// Human-readable description of the failure.
         reason: String,

@@ -142,10 +142,7 @@ pub mod prelude {
     pub use crate::fault::FaultPlan;
     pub use crate::mapping::{LinearMapping, Mapping};
     pub use crate::model::{EventCtx, InitCtx, Merge, Model, ReverseCtx};
-    pub use crate::obs::agg::{
-        FleetMonitor, HealthDetector, HealthEvent, HealthPolicy, Heartbeat, ObsSeverity, RunIngest,
-        RunManifest, RunPhase, RunState, StreamTail,
-    };
+    pub use crate::obs::agg::{Heartbeat, RunManifest, RunPhase};
     pub use crate::obs::blame::{BlameCell, BlameReport, CascadeCause, CascadeRec, CascadeTag};
     pub use crate::obs::prof::{Phase, PhaseProfile, PhaseStats};
     pub use crate::obs::trace::{HopEmit, HopRecord, PacketTrace, TRACE_UNBOUNDED};

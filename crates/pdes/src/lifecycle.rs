@@ -26,8 +26,8 @@ use crate::time::VirtualTime;
 
 /// Boot a run: produce the frame it starts from — `resume` if there is one,
 /// otherwise the time-zero frame, every LP initialized on its own seeded RNG
-/// stream (like ROSS's startup function) — and announce it to the fleet
-/// monitor with the opening `Run` pulse.
+/// stream (like ROSS's startup function) — and announce it on the metrics
+/// stream with the opening `Run` pulse.
 ///
 /// The frame's pending events are not returned but streamed to `pending`, in
 /// frontier order (LP order, then emission order, for a fresh run), so
@@ -88,7 +88,7 @@ pub(crate) fn boot<M: Model>(
     frame
 }
 
-/// Emit one liveness pulse for the fleet monitor (see [`Heartbeat`]): `Run`
+/// Emit one liveness pulse into the metrics sink (see [`Heartbeat`]): `Run`
 /// from [`boot`] and every [`DEFAULT_HEARTBEAT_EVERY`] rounds, `End` /
 /// `Fail` exactly once from [`teardown`]. `committed` is PE-local while
 /// running and the run total on the closing pulse.
@@ -136,8 +136,8 @@ pub(crate) fn emit_round(config: &EngineConfig, series: &mut RoundSeries, snap: 
 /// Close a run on either kernel. A successful run gets its wall time stamped
 /// and its telemetry sealed; success and failure alike then pulse `End` /
 /// `Fail` with the final `round`, `gvt` and run-wide `committed` total and
-/// flush the sink — so a fleet monitor never sees a failed run as merely
-/// silent.
+/// flush the sink — so a reader of the stream never mistakes a failed run
+/// for a merely silent one.
 pub(crate) fn teardown<O>(
     config: &EngineConfig,
     wall: Duration,

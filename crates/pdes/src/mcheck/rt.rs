@@ -28,6 +28,8 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
+use crate::obs::json::quote;
+
 /// Index of a registered modelled object (atomic, cell, mutex, condvar).
 pub type ObjId = u32;
 type Tid = usize;
@@ -688,31 +690,15 @@ pub struct ModelReport {
     pub violation: Option<Violation>,
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl ModelReport {
     /// Hand-rolled JSON (the crate is dependency-free).
     pub fn to_json(&self) -> String {
         let mut s = String::new();
         s.push_str(&format!(
-            "{{\"name\":\"{}\",\"schedules\":{},\"transitions\":{},\"read_branches\":{},\
+            "{{\"name\":{},\"schedules\":{},\"transitions\":{},\"read_branches\":{},\
              \"sleep_prunes\":{},\"preempt_prunes\":{},\"pruned_subtrees\":{},\
              \"complete\":{},\"wall_ms\":{}",
-            json_escape(&self.name),
+            quote(&self.name),
             self.schedules,
             self.transitions,
             self.read_branches,
@@ -726,18 +712,16 @@ impl ModelReport {
             None => s.push_str(",\"violation\":null}"),
             Some(v) => {
                 s.push_str(&format!(
-                    ",\"violation\":{{\"kind\":\"{}\",\"schedule\":{},\"message\":\"{}\",\"trace\":[",
-                    json_escape(&v.kind),
+                    ",\"violation\":{{\"kind\":{},\"schedule\":{},\"message\":{},\"trace\":[",
+                    quote(&v.kind),
                     v.schedule,
-                    json_escape(&v.message),
+                    quote(&v.message),
                 ));
                 for (i, step) in v.trace.iter().enumerate() {
                     if i > 0 {
                         s.push(',');
                     }
-                    s.push('"');
-                    s.push_str(&json_escape(step));
-                    s.push('"');
+                    s.push_str(&quote(step));
                 }
                 s.push_str("]}}");
             }

@@ -578,7 +578,7 @@ impl MetricsSink for JsonlSink {
     fn heartbeat(&self, hb: &agg::Heartbeat) {
         let mut out = lock(&self.out);
         let _ = writeln!(out, "{}", hb.json());
-        // Heartbeats are the liveness channel a fleet monitor distinguishes
+        // Heartbeats are the liveness channel a reader of the stream tells
         // "quiet" from "wedged" by; a pulse parked in the buffer until the
         // next snapshot burst would defeat that, so push it to the file now.
         let _ = out.flush();
@@ -634,7 +634,7 @@ pub struct ObsConfig {
     /// disables causal packet tracing (the default — a traced run buys exact
     /// per-packet lineage for memory proportional to committed hops).
     pub packet_trace_capacity: usize,
-    /// Register this run with the fleet telemetry hub ([`agg`]): write a
+    /// Register this run ([`agg`]): write a
     /// [`RunManifest`](agg::RunManifest) next to this path and stream the
     /// full-resolution snapshot + heartbeat JSONL into it. `None` (the
     /// default) = not instrumented. When a [`sink`](Self::sink) is also set
@@ -660,7 +660,7 @@ pub const DEFAULT_SERIES_CAPACITY: usize = 1_024;
 
 /// Heartbeat cadence in GVT rounds of every run with a sink (PE 0 also
 /// pulses once at start and once at the end): frequent
-/// enough that a fleet monitor notices a wedged run within a few polls,
+/// enough that a reader tailing the stream notices a wedged run quickly,
 /// sparse enough to stay invisible in the overhead benches.
 pub const DEFAULT_HEARTBEAT_EVERY: u64 = 16;
 

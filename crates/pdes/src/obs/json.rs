@@ -3,15 +3,16 @@
 //!
 //! The emitter side is deliberately trivial: every [`RoundSnapshot`] field
 //! is an unsigned integer, so one `format!` per line produces valid JSON
-//! with no escaping concerns. The validator side is a minimal
-//! recursive-descent checker (not a parser — it builds nothing) used by the
-//! unit tests, `obs_report`, and CI to prove exported files are well-formed
-//! without pulling in a JSON crate. The parser side ([`parse`] /
-//! [`JsonValue`]) is the read path the multi-run aggregator
-//! ([`agg`](super::agg)) and the repo benchmark use to consume the
-//! files this repo itself emits — same RFC 8259 grammar, but it builds a
-//! value tree. Integers are kept exact up to the full `u64`/`i64` range
-//! (`lvt` is `u64::MAX` on idle PEs; an f64 round-trip would corrupt it).
+//! with no escaping concerns; the few emitters that write strings (the run
+//! manifest, the model checker's report) escape them with [`quote`]. The
+//! validator side is a minimal recursive-descent checker (not a parser — it
+//! builds nothing) used by the unit tests, `obs_report`, and CI to prove
+//! exported files are well-formed without pulling in a JSON crate. The
+//! parser side ([`parse`] / [`JsonValue`]) is the read path the tests and
+//! the repo benchmark use to consume the files this repo itself emits —
+//! same RFC 8259 grammar, but it builds a value tree. Integers are kept
+//! exact up to the full `u64`/`i64` range (`lvt` is `u64::MAX` on idle PEs;
+//! an f64 round-trip would corrupt it).
 
 use std::io::{BufWriter, Write};
 use std::path::Path;
@@ -66,6 +67,26 @@ fn phase_ns_json(phase_ns: &[u64; super::prof::N_PHASES]) -> String {
         out.push_str(&ns.to_string());
     }
     out.push(']');
+    out
+}
+
+/// Render `s` as a JSON string literal: quoted, with `"`, `\\` and every
+/// control character escaped.
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
     out
 }
 
@@ -595,6 +616,14 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn quote_escapes_quotes_backslashes_and_controls() {
+        let raw = "a\"b\\c\nd\u{1}e";
+        let lit = quote(raw);
+        assert_eq!(lit, r#""a\"b\\c\nd\u0001e""#);
+        assert_eq!(parse(&lit).unwrap(), JsonValue::Str(raw.to_string()));
+    }
 
     #[test]
     fn snapshot_json_is_valid_and_roundtrips_fields() {

@@ -368,7 +368,7 @@ fn round_snapshots_carry_cumulative_cascade_counters() {
     }
 }
 
-/// Cross-run aggregation (the PR 8 hub case): merging two runs' reports
+/// Cross-run aggregation: merging two runs' reports
 /// sums every scalar exactly, in either order.
 #[test]
 fn merged_reports_sum_scalars_in_either_order() {

@@ -35,6 +35,14 @@ PDES_OBS_METRICS="$env_dir/run/metrics.jsonl" PDES_TRACE=1 PDES_AUDIT=fast \
     ./target/release/examples/quickstart >/dev/null 2>"$env_dir/stderr"
 test -f "$env_dir/run/run-manifest.json"
 tail -n 1 "$env_dir/run/metrics.jsonl" | grep -q '"state":"end"'
+if command -v python3 >/dev/null 2>&1; then
+    python3 - "$env_dir/run/run-manifest.json" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    m = json.load(f)
+assert m["manifest_version"] == 1 and m["metrics"] == "metrics.jsonl", m
+EOF
+fi
 if grep 'pdes: warning' "$env_dir/stderr"; then
     echo "the three PDES_* variables the engine reads must not warn" >&2
     exit 1
@@ -171,7 +179,7 @@ stage "overhead: toggle costs vs same-process references (BENCH_overhead.json)"
 # torus, Time Warp under a two-step bound — above the model's epoch, so the
 # blame and profiler rows price Time Warp's instrumentation): every mode
 # must commit the sequential oracle's output before it is timed; default
-# obs <= 5% over dark, hub <= 5% over default, blame-on <= 3% over
+# obs <= 5% over dark, registered <= 5% over default, blame-on <= 3% over
 # blame-off, each above the reference row's measured noise floor; the
 # profiler, packet-trace, verbose, jsonl, audit and checkpoint rows are
 # informational. Self-validates its JSON and exits 1 on a gate failure.
@@ -225,37 +233,6 @@ print(f"rollback_report.json: {b['events_undone']} undone across "
       f"{r['wasted_ns']} ns wasted")
 EOF
     python3 -m json.tool artifacts/cascades.trace.json >/dev/null
-fi
-
-stage "obs_hub: injected-fault selftest + mini-farm smoke"
-# Fault selftest: a synthesized GVT-stalled stream and a silent stream must
-# each produce the matching structured HealthEvent (exit 1 otherwise).
-./target/release/obs_hub selftest-faults --quiet
-# Mini-farm: 3 short concurrent instrumented runs into a temp farm dir,
-# live-monitored to completion; obs_hub validates health.jsonl/rollup.json
-# with the in-tree validator before writing them.
-farm_dir="$(mktemp -d "${TMPDIR:-/tmp}/pdes-ci-farm.XXXXXX")"
-trap 'rm -rf "$farm_dir"' EXIT
-./target/release/obs_hub farm --dir="$farm_dir" --runs=3 --n=8 --steps=48 --pes=2 --quiet
-if command -v python3 >/dev/null 2>&1; then
-    python3 - "$farm_dir" <<'EOF'
-import json, os, sys
-farm = sys.argv[1]
-with open(os.path.join(farm, "rollup.json")) as f:
-    r = json.load(f)
-assert r["runs"] == 3 and r["ended"] == 3 and r["failed"] == 0, r
-assert r["committed"] > 0
-with open(os.path.join(farm, "health.jsonl")) as f:
-    health = [json.loads(line) for line in f if line.strip()]
-for run in sorted(os.listdir(farm)):
-    mdir = os.path.join(farm, run)
-    if os.path.isdir(mdir):
-        with open(os.path.join(mdir, "run-manifest.json")) as f:
-            m = json.load(f)
-        assert m["manifest_version"] == 1 and m["metrics"] == "metrics.jsonl", m
-print(f"mini-farm: {r['runs']} runs ended, {r['committed']} committed, "
-      f"{len(health)} health events")
-EOF
 fi
 
 stage "line counts per area (the ROADMAP's aim-2 figures, from the tree)"
