@@ -3,7 +3,7 @@
 //!
 //! Two modes:
 //!
-//! * default — run every protocol model (`ring`, `ring_spill`, `gvt_inc`,
+//! * default — run every protocol model (`ring`, `ring_spill`, `quiesce`,
 //!   `barrier`, `window`) against the **unmutated** production code with
 //!   its CI budget, print one summary line per model, and write a JSON
 //!   artifact.

@@ -10,24 +10,20 @@ use crate::obs::{ObsConfig, DEFAULT_RECORDER_CAPACITY};
 use crate::scheduler::SchedulerKind;
 use crate::time::VirtualTime;
 
-/// How the parallel kernel computes GVT.
+/// Whether a parallel run may take the windowed arm. Time Warp always
+/// computes GVT by the Fujimoto-style barriered round: all PEs rendezvous,
+/// settle in-flight messages to quiescence, and publish their minima.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum GvtMode {
-    /// Mattern-style two-cut incremental reduction — PE 0 opens an epoch,
-    /// each PE asynchronously flushes, drains, and publishes
-    /// `min(queue, held, sent-window)`, PE 0 folds the reports wait-free;
-    /// no barrier, no settle loop — unless the run checkpoints: snapshot
-    /// frames need the barriered round's sequential-frame quiescence, so
-    /// checkpointing runs use [`Barrier`](GvtMode::Barrier). When the model
-    /// declares an epoch ([`Model::epoch`](crate::model::Model::epoch)) and
-    /// [`max_lookahead`](EngineConfig::max_lookahead) is at most that epoch,
-    /// a non-checkpointing run takes the rollback-free windowed arm instead,
-    /// whose PEs agree on one minimum per window. This is the default.
+    /// The windowed arm when the epoch allows it, else Time Warp: when the
+    /// model declares an epoch ([`Model::epoch`](crate::model::Model::epoch)),
+    /// [`max_lookahead`](EngineConfig::max_lookahead) is at most that epoch
+    /// and the run does not checkpoint, the PEs run rollback-free and agree
+    /// on one minimum per window. Checkpointing runs take Time Warp, whose
+    /// quiescent rounds the snapshot frames need. This is the default.
     #[default]
     Auto,
-    /// Classic Fujimoto-style barriered reduction: every round, all PEs
-    /// rendezvous, settle in-flight messages to quiescence, and publish
-    /// minima. Required for checkpoint frames.
+    /// Never take the windowed arm: every parallel run is Time Warp.
     Barrier,
 }
 
@@ -71,7 +67,7 @@ pub struct EngineConfig {
     /// A ceiling at or below the model's declared epoch
     /// ([`Model::epoch`](crate::model::Model::epoch)) allows no speculation
     /// the epoch does not make safe, so such a run takes the rollback-free
-    /// windowed arm unless it is barriered (see [`GvtMode`]).
+    /// windowed arm unless it checkpoints or sets [`GvtMode::Barrier`].
     /// Committed output is identical at every setting.
     pub max_lookahead: Option<u64>,
     /// Deterministic fault injection at the inter-PE inbox boundary (see
@@ -126,8 +122,8 @@ pub struct EngineConfig {
     /// newest two are kept). Default `pdes-ckpt`; set with
     /// [`with_checkpoint_dir`](Self::with_checkpoint_dir).
     pub checkpoint_dir: PathBuf,
-    /// GVT protocol selection (see [`GvtMode`]); set with
-    /// [`with_gvt_mode`](Self::with_gvt_mode).
+    /// Whether a parallel run may take the windowed arm (see [`GvtMode`]);
+    /// set with [`with_gvt_mode`](Self::with_gvt_mode).
     pub gvt_mode: GvtMode,
     /// Per-PE event-arena capacity in slots (`None` =
     /// [`EventArena::DEFAULT_SLOTS`](crate::arena::EventArena::DEFAULT_SLOTS)).
@@ -286,7 +282,7 @@ impl EngineConfig {
         self
     }
 
-    /// Select the GVT protocol (see [`gvt_mode`](Self::gvt_mode)).
+    /// Allow or forbid the windowed arm (see [`gvt_mode`](Self::gvt_mode)).
     pub fn with_gvt_mode(mut self, mode: GvtMode) -> Self {
         self.gvt_mode = mode;
         self
@@ -394,8 +390,8 @@ impl EngineConfig {
         Ok(())
     }
 
-    /// Whether the parallel kernel should run the barriered GVT protocol
-    /// (vs the incremental one) under this configuration.
+    /// Whether a parallel run is barriered — Time Warp even where the
+    /// windowed arm applies: it checkpoints, or sets [`GvtMode::Barrier`].
     pub(crate) fn barriered_gvt(&self) -> bool {
         match self.gvt_mode {
             GvtMode::Barrier => true,

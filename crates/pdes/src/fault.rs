@@ -181,21 +181,6 @@ impl<P: Clone> FaultState<P> {
         self.holdback.len()
     }
 
-    /// Minimum receive tick across held-back messages (`u64::MAX` when none
-    /// are held). The incremental GVT reduction folds this into a PE's
-    /// published minimum: a delayed message must hold GVT below its
-    /// timestamp even though no barrier will ever force it out.
-    pub(crate) fn held_min(&self) -> u64 {
-        self.holdback
-            .iter()
-            .map(|m| match m {
-                Remote::Positive(e) => e.key.recv_time.0,
-                Remote::Anti(c, _) => c.key.recv_time.0,
-            })
-            .min()
-            .unwrap_or(u64::MAX)
-    }
-
     /// Move every held-back message into `into`. Called at the start of each
     /// inbox drain so a delayed message is late by at most one drain, and
     /// always flushed before GVT quiescence.

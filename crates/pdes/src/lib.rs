@@ -13,10 +13,10 @@
 //! * **Processing elements (PEs)** are worker threads executing events
 //!   optimistically; stragglers and anti-messages trigger rollbacks
 //!   ([`parallel`]).
-//! * **GVT** (global virtual time) is computed by a barrier-free Mattern
-//!   two-cut reduction (a Fujimoto-style barriered one when the run
-//!   checkpoints; see [`GvtMode`]), after which events are committed and
-//!   fossil-collected.
+//! * **GVT** (global virtual time) is computed by a Fujimoto-style
+//!   barriered reduction, after which events are committed and
+//!   fossil-collected. A model that declares an epoch can run rollback-free
+//!   instead, one window at a time (see [`GvtMode`]).
 //! * **Reversible RNG** streams ([`rng`]) let rollbacks un-step every random
 //!   draw exactly (ROSS's `tw_rand_reverse_unif`).
 //! * A **sequential kernel** ([`sequential`]) with identical semantics is

@@ -33,9 +33,10 @@
 //!   reported with every thread's pending operation.
 //!
 //! [`models`] holds the protocol scenarios (ring transfer, spill/drain
-//! conservation, incremental GVT, abortable barrier, the windowed arm's
-//! hand-off) with their ground-truth invariants, and [`mutation`] the seeded bugs the `mcheck --self-test`
-//! runner proves the checker catches.
+//! conservation, Time Warp's GVT quiescence check, abortable barrier, the
+//! windowed arm's hand-off) with their ground-truth invariants, and
+//! [`mutation`] the seeded bugs the `mcheck --self-test` runner proves the
+//! checker catches.
 //!
 //! Run it via the bench crate's `mcheck` binary:
 //!

@@ -4,15 +4,15 @@
 //! driver, so the oracle sees the exact global order of events).
 //!
 //! Every model runs the **production** types — `SpscRing`, `CommFabric`,
-//! `IncGvt`, `AbortableBarrier` — not re-implementations; the `sync`
-//! facade routes their atomics through the explorer.
+//! `GvtRound`, `AbortableBarrier`, `WindowSync` — not re-implementations;
+//! the `sync` facade routes their atomics through the explorer.
 
 use super::mutation::Mutation;
 use super::rt::{check, explore, yield_now, ExploreConfig, ModelReport};
 use crate::comm::{CommFabric, SpscRing};
 use crate::event::{ChildRef, EventId, EventKey, Remote};
 use crate::fault::{FaultPlan, FaultState};
-use crate::gvt::IncGvt;
+use crate::gvt::GvtRound;
 use crate::obs::blame::CascadeTag;
 use crate::parallel::window::{hand_off, WindowSync};
 use crate::pool::VecPool;
@@ -23,14 +23,14 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// All model names, in the order the runner executes them.
-pub const MODEL_NAMES: [&str; 5] = ["ring", "ring_spill", "gvt_inc", "barrier", "window"];
+pub const MODEL_NAMES: [&str; 5] = ["ring", "ring_spill", "quiesce", "barrier", "window"];
 
 /// Run the named model under `cfg`. Returns `None` for unknown names.
 pub fn run_model(name: &str, cfg: &ExploreConfig) -> Option<ModelReport> {
     Some(match name {
         "ring" => ring(cfg),
         "ring_spill" => ring_spill(cfg),
-        "gvt_inc" => gvt_inc(cfg),
+        "quiesce" => quiesce(cfg),
         "barrier" => barrier(cfg),
         "window" => window(cfg),
         _ => return None,
@@ -52,7 +52,7 @@ pub fn default_cfg(name: &str) -> ExploreConfig {
         // a stale head; 2 also covers wrapped re-use of a slot.
         "ring" => cfg.max_read_depth = 2,
         "ring_spill" => {}
-        "gvt_inc" => {}
+        "quiesce" => {}
         "barrier" => {}
         "window" => {}
         _ => {}
@@ -65,7 +65,7 @@ pub fn mutation_target(m: Mutation) -> &'static str {
     match m {
         Mutation::RingPublishRelaxed => "ring",
         Mutation::SwallowSpill => "ring_spill",
-        Mutation::GvtSkipEpochBump | Mutation::GvtReportRoundRelaxed => "gvt_inc",
+        Mutation::QuiesceSampledBeforeB2 => "quiesce",
         Mutation::BarrierAbortNoNotify => "barrier",
         Mutation::WindowDoneBeforeFlush | Mutation::WindowDoneRelaxed | Mutation::WindowOneSlot => {
             "window"
@@ -148,6 +148,13 @@ fn msg(seq: u64) -> Remote<()> {
     )
 }
 
+fn recv_time(m: &Remote<()>) -> u64 {
+    match m {
+        Remote::Anti(c, _) => c.key.recv_time.0,
+        Remote::Positive(e) => e.key.recv_time.0,
+    }
+}
+
 fn seqs(msgs: &[Remote<()>]) -> Vec<u64> {
     msgs.iter()
         .map(|m| match m {
@@ -206,149 +213,88 @@ pub fn ring_spill(cfg: &ExploreConfig) -> ModelReport {
 }
 
 // ---------------------------------------------------------------------------
-// gvt_inc: the incremental GVT reduction never over-estimates
+// quiesce: Time Warp's GVT round agrees on quiescence and a safe minimum
 // ---------------------------------------------------------------------------
 
-/// Exact global state, updated by each virtual thread *before* the
-/// corresponding facade operation (the driver serializes them, so the
-/// oracle is a linearization of the real protocol).
-struct GvtTruth {
-    /// Per-PE minimum pending receive time (`u64::MAX` = empty).
-    queue: [u64; 2],
-    /// Receive times of sends still in flight.
-    sends: Vec<u64>,
-    /// Epoch → number of PEs that contributed a report to it.
-    participated: HashMap<u64, u32>,
-    /// Epochs closed so far, in close order.
-    closed: Vec<u64>,
-}
-
-impl GvtTruth {
-    fn true_min(&self) -> u64 {
-        self.queue
-            .iter()
-            .copied()
-            .chain(self.sends.iter().copied())
-            .min()
-            .unwrap()
-    }
-}
-
-/// Two reduction rounds over two PEs, scripting the Mattern two-cut
-/// hand-off that the incremental protocol's orderings must protect. The
-/// scenario starts mid-run: lead has just processed its event at 55 and
-/// sent a message with receive time 55 toward pe1 — the message is in
-/// flight, covered by nothing but lead's `send_min`.
+/// Two PEs run one GVT round's quiescence check as `PeRuntime::quiesce`
+/// does: B1, then passes of settling (flush, drain, poll the counters until
+/// they agree or stop moving) followed by the production agreement
+/// [`GvtRound::agree`] on a real barrier, each PE reporting its queue head.
+/// PE 0 has an event at 90 queued and one message (receive time 1) still in
+/// its send buffer: counted in `sent` before the round, in no ring yet. So
+/// the machine is quiet only once PE 0 has flushed and PE 1 has drained.
 ///
-/// * **epoch 1** — lead reports `min(queue 90, send_min 55) = 55`; pe1
-///   (empty queue) reports `MAX` *before* the message lands (legal: it
-///   drained an empty inbox), then receives it. The cover hands off from
-///   sender to receiver; GVT closes at 55.
-/// * **epoch 2** — lead reports 90 (`send_min` reset after its previous
-///   report), pe1 reports the straggler's 55. Only pe1's *fresh* round-2
-///   report keeps GVT at 55: a stale read of its round-1 report (`MAX`)
-///   yields 90 — which is why the round-slot Release / round-check
-///   Acquire pair is load-bearing, and exactly what the
-///   `GvtReportRoundRelaxed` mutation breaks.
+/// Invariants:
 ///
-/// Invariants at every successful `try_close`:
-///
-/// * the reduced estimate is ≤ the true min of all LVTs and in-flight
-///   send times (safety: fossil collection must never eat the future);
-/// * each epoch closes at most once, in increasing order (kills the
-///   skipped-epoch-bump mutation, which double-closes one epoch);
-/// * every PE participated in the epoch being closed.
-pub fn gvt_inc(cfg: &ExploreConfig) -> ModelReport {
-    explore("gvt_inc", cfg, |s| {
-        let gvt = Arc::new(IncGvt::new(2, 0));
-        let gt = Arc::new(Mutex::new(GvtTruth {
-            queue: [90, u64::MAX],
-            sends: vec![55],
-            participated: HashMap::new(),
-            closed: Vec::new(),
-        }));
-        {
-            let (gvt, gt) = (gvt.clone(), gt.clone());
-            s.thread("lead", move || {
-                let mut send_min = 55;
-                for _ in 0..2 {
-                    gvt.open_round();
-                    let e = gvt.current_epoch();
-                    let report = {
-                        let mut t = gt.lock().unwrap();
-                        *t.participated.entry(e).or_insert(0) += 1;
-                        t.queue[0].min(send_min)
-                    };
-                    send_min = u64::MAX;
-                    gvt.publish_report(0, report, e);
-                    let mut closed = false;
-                    for _ in 0..3 {
-                        if let Some(g) = gvt.try_close(e) {
-                            let mut t = gt.lock().unwrap();
-                            check(
-                                !t.closed.contains(&e),
-                                "one epoch closed twice (missing epoch bump)",
-                            );
-                            check(
-                                g <= t.true_min(),
-                                &format!("gvt {g} above the true minimum {}", t.true_min()),
-                            );
-                            check(
-                                t.participated.get(&e).copied().unwrap_or(0) == 2,
-                                "round closed before every PE participated",
-                            );
-                            t.closed.push(e);
-                            closed = true;
+/// * both PEs return the same `quiet` from every pass (kills sampling the
+///   counters before B2: a PE that settles early reads them before its
+///   peer's drain, the other PE leaves, and the first is stranded at the
+///   next B2);
+/// * once quiet, no message is left in a send buffer or a ring;
+/// * the quiet pass's `min_report` is at most the true minimum, 1.
+pub fn quiesce(cfg: &ExploreConfig) -> ModelReport {
+    explore("quiesce", cfg, |s| {
+        let fab = Arc::new(CommFabric::<()>::with_ring_slots(2, 2));
+        let gvt = Arc::new(GvtRound::new(2, 0));
+        let barrier = Arc::new(AbortableBarrier::new(2));
+        let passes = Arc::new(Mutex::new([Vec::new(), Vec::new()]));
+        for pe in 0..2 {
+            let (fab, gvt, barrier, passes) =
+                (fab.clone(), gvt.clone(), barrier.clone(), passes.clone());
+            s.thread(if pe == 0 { "pe0" } else { "pe1" }, move || {
+                let (mut buf, mut head) = if pe == 0 {
+                    gvt.count_sent();
+                    (vec![msg(0)], 90)
+                } else {
+                    (Vec::new(), u64::MAX)
+                };
+                let mut pool = VecPool::new();
+                barrier.wait().expect("never aborted"); // B1
+                loop {
+                    let mut last = None;
+                    loop {
+                        if !buf.is_empty() {
+                            fab.push_batch(0, 1, std::mem::take(&mut buf));
+                        }
+                        let mut inbox = Vec::new();
+                        let n = fab.drain_to(pe, &mut inbox, &mut pool);
+                        if n > 0 {
+                            gvt.count_received(n);
+                        }
+                        head = inbox.iter().map(recv_time).fold(head, u64::min);
+                        let now = gvt.counters();
+                        if now.0 == now.1 || last == Some(now) {
                             break;
                         }
+                        last = Some(now);
                         yield_now();
                     }
-                    if !closed {
-                        // pe1 exhausted its polls in this interleaving; the
-                        // checks above still covered every close that did
-                        // happen.
-                        break;
-                    }
-                }
-            });
-        }
-        {
-            let (gvt, gt) = (gvt.clone(), gt.clone());
-            s.thread("pe1", move || {
-                'rounds: for target in 1u64..=2 {
-                    let mut polls = 0;
-                    while gvt.current_epoch() < target {
-                        polls += 1;
-                        if polls > 3 {
-                            // Lead never opened this round in this
-                            // interleaving; give up silently.
-                            break 'rounds;
-                        }
-                        yield_now();
-                    }
-                    let report = {
-                        let mut t = gt.lock().unwrap();
-                        *t.participated.entry(target).or_insert(0) += 1;
-                        t.queue[1]
-                    };
-                    gvt.publish_report(1, report, target);
-                    if target == 1 {
-                        // The in-flight message lands *after* our round-1
-                        // report: from here on our queue covers it and the
-                        // sender's cover is allowed to expire.
-                        let mut t = gt.lock().unwrap();
-                        t.sends.clear();
-                        t.queue[1] = 55;
+                    let quiet = gvt.agree(pe, Some(head), || barrier.wait());
+                    let quiet = quiet.expect("never aborted");
+                    passes.lock().unwrap()[pe].push(quiet);
+                    if quiet {
+                        let left = buf.len() as u64 + fab.inbox_depth(0) + fab.inbox_depth(1);
+                        check(
+                            left == 0,
+                            &format!("pe{pe}: quiet with {left} message(s) left"),
+                        );
+                        let min = gvt.min_report();
+                        check(min <= 1, &format!("pe{pe}: agreed {min}, the minimum is 1"));
+                        return;
                     }
                 }
             });
         }
         s.finale(move || {
-            let t = gt.lock().unwrap();
+            let p = passes.lock().unwrap();
             check(
-                t.closed.windows(2).all(|w| w[0] < w[1]),
-                &format!("epochs closed out of order: {:?}", t.closed),
+                p[0] == p[1],
+                &format!("the PEs disagree on quiet: {:?}", *p),
             );
+            let (mut pool, mut rest) = (VecPool::new(), Vec::new());
+            for pe in 0..2 {
+                fab.drain_to(pe, &mut rest, &mut pool);
+            }
         });
     })
 }
@@ -527,10 +473,10 @@ mod tests {
     }
 
     #[test]
-    fn gvt_inc_model_is_clean_and_complete() {
+    fn quiesce_model_is_clean_and_complete() {
         let _g = serial();
         mutation::set(None);
-        assert_clean("gvt_inc");
+        assert_clean("quiesce");
     }
 
     #[test]

@@ -16,14 +16,10 @@ pub enum Mutation {
     /// `Release`: the consumer can observe the new head before the slot
     /// write — a data race on the slot cell.
     RingPublishRelaxed,
-    /// `IncGvt::open_round` forgets to bump the epoch: the "new" round
-    /// closes instantly against the previous round's reports, so one epoch
-    /// closes twice without any PE participating in between.
-    GvtSkipEpochBump,
-    /// `IncGvt::publish_report` stores the round slot with `Relaxed`
-    /// instead of `Release`: the leader can pair a current round number
-    /// with a stale (higher) report and drive GVT above the true minimum.
-    GvtReportRoundRelaxed,
+    /// `GvtRound::agree` samples the counters before B2 instead of after
+    /// it: a PE that finished settling reads them while its peer still
+    /// flushes or drains, and the two PEs disagree on `quiet`.
+    QuiesceSampledBeforeB2,
     /// `Channel` drain drops the first spilled batch on the floor instead
     /// of re-queuing it: `in_flight` conservation breaks (a message is
     /// lost).
@@ -45,10 +41,9 @@ pub enum Mutation {
     WindowOneSlot,
 }
 
-const ALL: [Mutation; 8] = [
+const ALL: [Mutation; 7] = [
     Mutation::RingPublishRelaxed,
-    Mutation::GvtSkipEpochBump,
-    Mutation::GvtReportRoundRelaxed,
+    Mutation::QuiesceSampledBeforeB2,
     Mutation::SwallowSpill,
     Mutation::BarrierAbortNoNotify,
     Mutation::WindowDoneBeforeFlush,
@@ -65,13 +60,12 @@ fn encode(m: Option<Mutation>) -> u8 {
     match m {
         None => 0,
         Some(Mutation::RingPublishRelaxed) => 1,
-        Some(Mutation::GvtSkipEpochBump) => 2,
-        Some(Mutation::GvtReportRoundRelaxed) => 3,
-        Some(Mutation::SwallowSpill) => 4,
-        Some(Mutation::BarrierAbortNoNotify) => 5,
-        Some(Mutation::WindowDoneBeforeFlush) => 6,
-        Some(Mutation::WindowDoneRelaxed) => 7,
-        Some(Mutation::WindowOneSlot) => 8,
+        Some(Mutation::QuiesceSampledBeforeB2) => 2,
+        Some(Mutation::SwallowSpill) => 3,
+        Some(Mutation::BarrierAbortNoNotify) => 4,
+        Some(Mutation::WindowDoneBeforeFlush) => 5,
+        Some(Mutation::WindowDoneRelaxed) => 6,
+        Some(Mutation::WindowOneSlot) => 7,
     }
 }
 

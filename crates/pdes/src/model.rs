@@ -318,9 +318,8 @@ pub trait Model: Send + Sync + 'static {
     /// The parallel kernel then runs the run rollback-free, one epoch-wide
     /// window at a time, whenever the optimism bound
     /// ([`EngineConfig::max_lookahead`](crate::config::EngineConfig::max_lookahead))
-    /// is set to at most `E` and the run uses no barriered GVT (no
-    /// checkpointing, no explicit
-    /// [`GvtMode::Barrier`](crate::config::GvtMode::Barrier)). A send that
+    /// is set to at most `E` and the run neither checkpoints nor sets
+    /// [`GvtMode::Barrier`](crate::config::GvtMode::Barrier). A send that
     /// breaks the promise fails that run with
     /// [`RunError::EpochViolated`](crate::error::RunError::EpochViolated).
     /// The default, `None` (and `Some(0)`), declares nothing: the run is

@@ -16,8 +16,8 @@
 //! estimated as `sampled_ns × count / sampled`, which is unbiased for the
 //! steady-state phases the kernel has (the stride is deterministic, the
 //! phase durations are not correlated with the stride position). The cold
-//! phases (per-GVT-round scale: barrier waits, fossil collection,
-//! incremental GVT reductions) are always timed, so their totals are exact.
+//! phases (per-GVT-round scale: barrier waits, fossil collection, GVT
+//! reductions) are always timed, so their totals are exact.
 //!
 //! Because the phases are *leaves* — no scope ever encloses another — their
 //! estimated totals tile the kernel's busy time, and the share table in
@@ -55,8 +55,8 @@ pub enum Phase {
     GvtWait,
     /// One fossil-collection sweep (commit + reclaim below GVT).
     Fossil,
-    /// One incremental-GVT participation: flush, full drain, publish the
-    /// local minimum (no barrier; see the parallel-kernel docs).
+    /// One GVT reduction after the round's quiescence check: the minimum
+    /// over the PEs' reports, and on PE 0 its publication and the watchdog.
     GvtReduce,
 }
 

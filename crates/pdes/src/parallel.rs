@@ -19,16 +19,10 @@
 //!   the kernel un-steps the LP's RNG, and **anti-messages** cancel every
 //!   child the undone events had scheduled. An anti-message arriving for an
 //!   already-executed event triggers a **secondary rollback**.
-//! * **GVT** — one PE loop, one protocol call per iteration ([`GvtSync`]).
-//!   The default is Mattern's two-cut incremental reduction: PE 0 opens an
-//!   epoch, each PE reports `min(queue, fault-held, sends since its last
-//!   report)` at its next loop boundary without waiting for anyone, and PE
-//!   0 publishes the min once every report landed. Checkpointing runs (and
-//!   [`GvtMode::Barrier`](crate::config::GvtMode::Barrier)) use the
-//!   Fujimoto barriered reduction instead: all PEs rendezvous, drain until
-//!   the global sent/received counters agree, and take the min of their
-//!   queue heads. Events older than GVT are *committed* and
-//!   fossil-collected.
+//! * **GVT** — Fujimoto's barriered reduction ([`gvt_round`](PeRuntime::gvt_round)):
+//!   once any PE asks for a round, all PEs rendezvous, drain until the
+//!   global sent/received counters agree, and take the min of their queue
+//!   heads. Events older than GVT are *committed* and fossil-collected.
 //! * **Windowed conservative arm** (`parallel/window.rs`) — when the model
 //!   declares an epoch ([`Model::epoch`]), the optimism bound is within it
 //!   and the run is not barriered, none of the above runs: the PEs execute
@@ -134,7 +128,7 @@ use crate::event::{
     Bitfield, ChildRef, Event, EventId, EventKey, KpId, LpId, PeId, QueueEntry, Remote,
 };
 use crate::fault::FaultState;
-use crate::gvt::IncGvt;
+use crate::gvt::GvtRound;
 use crate::hash::{FastMap, FastSet};
 use crate::kp::{Kp, Processed, Undone};
 use crate::lifecycle;
@@ -154,36 +148,6 @@ use crate::time::VirtualTime;
 /// Consecutive idle polls before an idle PE forces a GVT round (drives
 /// termination detection without barrier-storming busy PEs).
 const IDLE_GVT_TRIGGER: u64 = 64;
-
-/// How the PEs agree on a GVT: the main loop's one strategy point, resolved
-/// once per PE and matched once per iteration in
-/// [`sync_step`](PeRuntime::sync_step). Another strategy is one more arm.
-enum GvtSync {
-    /// Lockstep Fujimoto reduction ([`gvt_round`](PeRuntime::gvt_round)):
-    /// its frames are quiescent, as checkpointing requires.
-    Barrier,
-    /// Mattern two-cut reduction: nobody rendezvouses and nobody settles
-    /// the machine. PE 0 opens an epoch; every PE reports at its next loop
-    /// boundary ([`inc_participate`](PeRuntime::inc_participate)) and keeps
-    /// executing; PE 0 closes the round once every report has landed
-    /// ([`inc_lead`](PeRuntime::inc_lead)).
-    ///
-    /// Correctness: a PE's report lower-bounds (a) everything it will
-    /// execute (its queue minimum after a full inbox drain), (b) every
-    /// fault-held message, and (c) every message it sent since its
-    /// *previous* report (`send_min`). Any message in flight when the round
-    /// closes was sent either before the sender's report — then it was
-    /// drained before some receiver's report, or is covered by (c) — or
-    /// after it, in which case its receive time is bounded below by the
-    /// sender's own report. The min over all reports therefore
-    /// lower-bounds every live or in-flight event.
-    Incremental {
-        /// Last epoch this PE reported for.
-        epoch: u64,
-        /// PE 0 only: whether a reduction round is currently open.
-        open: bool,
-    },
-}
 
 /// Optimism-window controller, run by every PE at the end of each GVT round
 /// on its own counters (see [`next_window`]). A round that rolled back more
@@ -253,17 +217,10 @@ struct Halt;
 struct Shared<P> {
     /// Lock-free batched inter-PE channels (one SPSC ring per PE pair).
     fabric: CommFabric<P>,
-    /// Global count of inter-PE messages sent. Incremented when a message
-    /// enters a sender-side buffer — the moment it logically exists — so GVT
-    /// quiescence (`sent == received`) can never be reached while a message
-    /// sits unflushed in a local buffer or un-drained in a ring.
-    sent: AtomicU64,
-    /// Global count of inter-PE messages drained.
-    received: AtomicU64,
-    /// GVT protocol state: published GVT, round-request flag, the per-PE
-    /// report slots, and the incremental epochs — see
-    /// [`crate::gvt::IncGvt`].
-    gvt: IncGvt,
+    /// Time Warp's GVT round: published GVT, round-request flag, the
+    /// global sent/received counters and the per-PE reports — see
+    /// [`GvtRound`].
+    gvt: GvtRound,
     /// The windowed arm's agreement (see [`window`]).
     window: window::WindowSync,
     /// Rendezvous for the GVT protocol; aborted on failure so no PE can
@@ -404,10 +361,9 @@ struct PeRuntime<'a, M: Model> {
     /// the controller reads the deltas since.
     window_marks: (u64, u64),
     /// Minimum receive time (ticks) over every remote message sent since
-    /// this PE's last incremental-GVT report — the "messages possibly still
-    /// in flight" half of the two-cut reduction. Reset to `u64::MAX` at
-    /// each report. Maintained unconditionally (one branchless `min` per
-    /// remote send); only the incremental protocol reads it.
+    /// this PE's last window hand-off. Reset to `u64::MAX` at each hand-off.
+    /// Maintained unconditionally (one branchless `min` per remote send);
+    /// only the windowed arm reads it.
     send_min: u64,
     /// Ids of remote positives/antis already delivered once — consulted only
     /// under fault injection, where the chaos layer can deliver twice.
@@ -524,22 +480,13 @@ impl<'a, M: Model> PeRuntime<'a, M> {
     }
 
     /// The PE main loop: the windowed arm when the model's epoch allows it
-    /// ([`window::window_epoch`]), else Time Warp under either GVT protocol
-    /// (all three commit the identical event order). Returns `Ok` once GVT
-    /// has passed the horizon, `Err` when the run was aborted by a failure
-    /// on any PE.
+    /// ([`window::window_epoch`]), else Time Warp (both commit the identical
+    /// event order). Returns `Ok` once GVT has passed the horizon, `Err`
+    /// when the run was aborted by a failure on any PE.
     fn run(&mut self) -> Result<(), Halt> {
         if let Some(epoch) = window::window_epoch(self.model, self.config) {
             return self.run_windows(epoch);
         }
-        let mut sync = if self.config.barriered_gvt() {
-            GvtSync::Barrier
-        } else {
-            GvtSync::Incremental {
-                epoch: 0,
-                open: false,
-            }
-        };
         loop {
             if self.shared.barrier.is_aborted() {
                 return Err(Halt);
@@ -548,8 +495,15 @@ impl<'a, M: Model> PeRuntime<'a, M> {
             // Draining can roll back and buffer anti-messages; publish them
             // (and any leftovers from the previous execute batch) now.
             self.flush_out_bufs();
-            if let Some(gvt) = self.sync_step(&mut sync)? {
-                return self.finish(gvt);
+            if self.shared.gvt.round_requested() || self.round_due() {
+                // Every other PE joins the round at its next iteration.
+                self.shared.gvt.set_requested(true);
+                if self.gvt_round()? >= self.config.end_time.0 {
+                    // Every speculative send must have been cancelled or
+                    // committed.
+                    let end_check = self.audit.as_ref().map(|a| a.finish(self.id));
+                    return self.audit_gate(end_check);
+                }
             }
             if !self.has_executable() {
                 self.idle_polls += 1;
@@ -569,39 +523,6 @@ impl<'a, M: Model> PeRuntime<'a, M> {
     fn round_due(&mut self) -> bool {
         self.since_gvt >= self.config.gvt_interval
             || (!self.has_executable() && self.idle_polls >= IDLE_GVT_TRIGGER)
-    }
-
-    /// One step of the GVT protocol, taken once per main-loop iteration
-    /// after the inbox drain. Returns the final GVT once it has passed the
-    /// horizon.
-    fn sync_step(&mut self, sync: &mut GvtSync) -> Result<Option<u64>, Halt> {
-        let gvt = match sync {
-            GvtSync::Barrier => {
-                if !self.shared.gvt.round_requested() && !self.round_due() {
-                    return Ok(None);
-                }
-                // Every other PE joins the round at its next iteration.
-                self.shared.gvt.request_round();
-                self.gvt_round()?
-            }
-            GvtSync::Incremental { epoch, open } => {
-                if self.id == 0 {
-                    self.inc_lead(open)?;
-                }
-                let current = self.shared.gvt.current_epoch();
-                if current > *epoch {
-                    *epoch = current;
-                    self.inc_participate(current)?;
-                }
-                let gvt = self.shared.gvt.read();
-                if gvt < self.config.end_time.0 && self.round_due() {
-                    // Ask PE 0 to open the next epoch (idempotent).
-                    self.shared.gvt.request_round();
-                }
-                gvt
-            }
-        };
-        Ok((gvt >= self.config.end_time.0).then_some(gvt))
     }
 
     /// Pop and execute up to one batch of locally minimal events.
@@ -627,95 +548,25 @@ impl<'a, M: Model> PeRuntime<'a, M> {
         Ok(())
     }
 
-    /// PE 0's incremental-GVT bookkeeping, run once per loop iteration:
-    /// close the open round if every report landed (publishing the new GVT,
-    /// monotone under `max`), else open a round if one was requested.
-    fn inc_lead(&mut self, open: &mut bool) -> Result<(), Halt> {
-        if *open {
-            let epoch = self.shared.gvt.current_epoch();
-            if let Some(gvt) = self.shared.gvt.try_close(epoch) {
-                *open = false;
-                self.lead_close(gvt)?;
-                self.progress_line(gvt);
-            } else if self.config.deadline.is_some() {
-                // The round-count watchdog only runs on close; keep the
-                // wall-clock deadline armed while a round is pending.
-                self.check_deadline(self.shared.gvt.read())?;
-            }
-        } else if self.shared.gvt.round_requested() {
-            self.shared.gvt.open_round();
-            *open = true;
-        }
-        Ok(())
-    }
-
-    /// One incremental-GVT participation: flush, drain the inbox dry, flush
-    /// the resulting cancellations, then publish
-    /// `min(queue head, fault-held messages, sends since last report)` for
-    /// `epoch` — and piggy-back the per-round maintenance
-    /// ([`end_round`](Self::end_round) at the currently published GVT) that
-    /// the barriered protocol does inside its round.
-    fn inc_participate(&mut self, epoch: u64) -> Result<(), Halt> {
-        let t0 = self.profiler.begin(Phase::GvtReduce);
-        self.flush_out_bufs();
-        self.drain_inbox(true)?;
-        self.flush_out_bufs();
-        let held_min = self.faults.as_ref().map_or(u64::MAX, |f| f.held_min());
-        let report = self.queue_min().min(held_min).min(self.send_min);
-        self.send_min = u64::MAX;
-        self.shared.gvt.publish_report(self.id, report, epoch);
-        self.profiler.end(Phase::GvtReduce, t0);
-        self.end_round(self.shared.gvt.read())
-    }
-
     /// Receive time (ticks) of this PE's pending minimum, `u64::MAX` if idle.
     fn queue_min(&mut self) -> u64 {
         self.queue.peek_key().map_or(u64::MAX, |k| k.recv_time.0)
     }
 
-    /// Termination path of both protocols: GVT passed the horizon, so
-    /// commit everything still uncommitted, absorb any straggling early
-    /// anti-messages (possible only under fault-injected delay), and run
-    /// the end-of-run conservation audit. After a barriered round the first
-    /// two are no-ops: `end_round` already collected to `gvt`, and
-    /// quiescence emptied `early_antis`.
-    fn finish(&mut self, gvt: u64) -> Result<(), Halt> {
-        let t0 = self.profiler.begin(Phase::Fossil);
-        self.fossil_collect(VirtualTime(gvt));
-        self.profiler.end(Phase::Fossil, t0);
-        // Under chaos the positive matching a parked anti can still be in a
-        // ring or held back; drain verbatim until the pair annihilates.
-        while !self.early_antis.is_empty() {
-            if self.shared.barrier.is_aborted() {
-                return Err(Halt);
-            }
-            self.flush_out_bufs();
-            self.drain_inbox(false)?;
-            std::thread::yield_now();
-        }
-        // Every speculative send must have been cancelled or committed.
-        let end_check = self.audit.as_ref().map(|a| a.finish(self.id));
-        self.audit_gate(end_check)
-    }
-
     /// Queue one message for a remote PE: count it as sent (GVT's in-flight
     /// accounting starts *here*, before the message is visible — see
-    /// [`Shared::sent`]), append it to the destination's send buffer, and
-    /// flush the buffer if it reached the batching threshold.
+    /// [`GvtRound::count_sent`]), append it to the destination's send
+    /// buffer, and flush the buffer if it reached the batching threshold.
     #[inline]
     fn send_remote(&mut self, pe: PeId, msg: Remote<M::Payload>) {
-        // Two-cut accounting for the incremental GVT protocol: this send may
-        // still be in flight at the next report, so fold its receive time
-        // into the window minimum.
+        // The windowed arm's report must cover this send until the next
+        // window boundary, so fold its receive time into the minimum.
         let recv = match &msg {
             Remote::Positive(ev) => ev.key.recv_time.0,
             Remote::Anti(c, _) => c.key.recv_time.0,
         };
         self.send_min = self.send_min.min(recv);
-        // ORDER: SeqCst — `sent`/`received` must appear in one total order:
-        // barriered-GVT quiescence reads both and concludes `sent ==
-        // received` means no message is in flight anywhere.
-        self.shared.sent.fetch_add(1, SeqCst);
+        self.shared.gvt.count_sent();
         let buf = &mut self.out_bufs[pe];
         buf.push(msg);
         if buf.len() >= self.comm_flush {
@@ -810,8 +661,7 @@ impl<'a, M: Model> PeRuntime<'a, M> {
             let n = self.shared.fabric.drain_batches(self.id, &mut batches);
             self.profiler.end(Phase::CommDrain, t0);
             if n > 0 {
-                // ORDER: SeqCst — same total order as `sent` (quiescence).
-                self.shared.received.fetch_add(n, SeqCst);
+                self.shared.gvt.count_received(n);
             }
             if batches.is_empty() {
                 break;
@@ -855,8 +705,7 @@ impl<'a, M: Model> PeRuntime<'a, M> {
                 .drain_to(self.id, &mut pending, &mut self.msg_pool);
             self.profiler.end(Phase::CommDrain, t0);
             if n > 0 {
-                // ORDER: SeqCst — same total order as `sent` (quiescence).
-                self.shared.received.fetch_add(n, SeqCst);
+                self.shared.gvt.count_received(n);
             }
             if pending.is_empty() {
                 break;
@@ -1373,11 +1222,13 @@ impl<'a, M: Model> PeRuntime<'a, M> {
             self.early_antis.len(),
             self.early_antis.keys().take(8).collect::<Vec<_>>(),
         );
+        let t0 = self.profiler.begin(Phase::GvtReduce);
         let gvt = self.shared.gvt.min_report();
         if self.id == 0 {
             self.shared.gvt.publish(gvt);
             self.lead_close(gvt)?;
         }
+        self.profiler.end(Phase::GvtReduce, t0);
         self.end_round(gvt)?;
         self.bwait()?; // B4: flag cleared, fossils reclaimed, round sampled.
         self.progress_line(gvt);
@@ -1386,10 +1237,9 @@ impl<'a, M: Model> PeRuntime<'a, M> {
 
     /// Bring the whole machine to quiescence, in lockstep on every PE: no
     /// message left in a send buffer, a ring or the fault layer's hold-back.
-    /// Serves the barriered GVT round and the checkpoint capture. With
-    /// `report`, each PE publishes its queue head as its GVT report between
-    /// the agreeing pass's two barriers, so the second doubles as the
-    /// publication barrier.
+    /// Serves the GVT round and the checkpoint capture. With `report`, each
+    /// PE publishes its queue head as its GVT report in the agreeing pass
+    /// ([`GvtRound::agree`]).
     fn quiesce(&mut self, report: bool) -> Result<(), Halt> {
         self.bwait()?; // B1: nobody executes or unwinds any more.
         loop {
@@ -1407,12 +1257,7 @@ impl<'a, M: Model> PeRuntime<'a, M> {
             loop {
                 self.flush_out_bufs();
                 self.drain_inbox(false)?;
-                // ORDER: SeqCst — quiescence check; both counters must be
-                // read from the same total order the increments joined.
-                let now = (
-                    self.shared.sent.load(SeqCst),
-                    self.shared.received.load(SeqCst),
-                );
+                let now = self.shared.gvt.counters();
                 if now.0 == now.1 {
                     break;
                 }
@@ -1425,39 +1270,33 @@ impl<'a, M: Model> PeRuntime<'a, M> {
                 last = Some(now);
                 std::thread::yield_now();
             }
-            // B2: every PE has settled once. Between B2 and B3 every PE only
-            // *loads* the counters, so all PEs sample the same values and
-            // agree on `quiet`.
-            self.bwait()?;
-            // ORDER: SeqCst — quiescence check (see `send_remote`).
-            let quiet = self.shared.sent.load(SeqCst) == self.shared.received.load(SeqCst);
-            if quiet && report {
-                // This PE's pending queue is final for the round.
-                let head = self.queue_min();
-                self.shared.gvt.publish_min(self.id, head);
-            }
-            self.bwait()?; // B3: counters sampled; reports published if quiet.
-            if quiet {
+            // This PE's pending queue only changes again after the pass, so
+            // its head is final for the round if the pass finds it quiet.
+            let head = report.then(|| self.queue_min());
+            let shared = self.shared;
+            if shared.gvt.agree(self.id, head, || self.bwait())? {
                 return Ok(());
             }
         }
     }
 
-    /// PE 0's half of closing a GVT round under either protocol: withdraw
-    /// the round request and, while work remains, run the liveness watchdog.
+    /// PE 0's half of closing a GVT round: withdraw the round request and,
+    /// while work remains, run the liveness watchdog.
     fn lead_close(&mut self, gvt: u64) -> Result<(), Halt> {
-        self.shared.gvt.clear_request();
+        self.shared.gvt.set_requested(false);
         if gvt < self.config.end_time.0 {
             self.watchdog(gvt)?;
         }
         Ok(())
     }
 
-    /// Every PE's per-round maintenance once a round's GVT is known, under
-    /// either protocol: commit and fossil-collect below `gvt`, audit the
-    /// scheduler, checkpoint if this round is a boundary, sample telemetry,
-    /// and restart the round-trigger counters.
+    /// Every PE's per-round maintenance once a round's GVT is known: commit
+    /// and fossil-collect below `gvt`, audit the scheduler, checkpoint if
+    /// this round is a boundary, sample telemetry, and restart the
+    /// round-trigger counters.
     fn end_round(&mut self, gvt: u64) -> Result<(), Halt> {
+        // The head this PE reported: nothing has run since the round's pass.
+        let lvt = self.queue_min();
         self.stats.gvt_rounds += 1;
         self.round += 1;
         if let (Some(window), Some(ceiling)) = (self.window, self.config.max_lookahead) {
@@ -1473,16 +1312,12 @@ impl<'a, M: Model> PeRuntime<'a, M> {
         let t0 = self.profiler.begin(Phase::Fossil);
         self.fossil_collect(VirtualTime(gvt));
         self.profiler.end(Phase::Fossil, t0);
-        // (Only a barriered round is quiescent here, but the mirror is
-        // PE-local and the queue is stable between events.)
         self.audit_scheduler()?;
-        // Checkpoint boundary (all PEs agree, see `ckpt::due`). Checkpointing
-        // implies the barriered protocol (`EngineConfig::barriered_gvt`), so
-        // an incremental round never is one.
+        // Checkpoint boundary (all PEs agree, see `ckpt::due`).
         if ckpt::due(self.config, self.round, gvt, self.last_ckpt_gvt) {
             self.checkpoint_round(gvt)?;
         }
-        self.sample_round(gvt, self.shared.gvt.report(self.id));
+        self.sample_round(gvt, lvt);
         self.since_gvt = 0;
         self.idle_polls = 0;
         // Marked last, so a checkpoint capture's own unwinding (above) is
@@ -1646,10 +1481,8 @@ impl<'a, M: Model> PeRuntime<'a, M> {
 
     /// Stderr progress report, printed by PE 0 every
     /// [`progress_every`](crate::obs::ObsConfig::progress_every) rounds.
-    /// A barriered round prints after its closing barrier, so every PE's
-    /// deltas for the round are in the shared totals. An incremental round
-    /// prints when PE 0 closes it; a PE that has reported but not yet
-    /// sampled the round is still counted as of its previous one.
+    /// A round prints after its closing barrier, so every PE's deltas for
+    /// the round are in the shared totals.
     fn progress_line(&self, gvt: u64) {
         let Some(every) = self.config.obs.progress_every else {
             return;
@@ -1867,9 +1700,7 @@ pub(crate) fn run_parallel_inner<M: Model>(
 
     let shared = Shared::<M::Payload> {
         fabric: CommFabric::new(n_pes),
-        sent: AtomicU64::new(0),
-        received: AtomicU64::new(0),
-        gvt: IncGvt::new(n_pes, frame.gvt),
+        gvt: GvtRound::new(n_pes, frame.gvt),
         window: window::WindowSync::new(n_pes),
         barrier: AbortableBarrier::new(n_pes),
         failure: Mutex::new(None),
@@ -2034,12 +1865,11 @@ pub(crate) fn run_parallel_inner<M: Model>(
             };
             report.map_or(lost, |r| r.diag)
         });
+        let (sent, received) = shared.gvt.counters();
         Err(cause.into_error(RunDiagnostics {
             gvt,
-            // ORDER: SeqCst (×2) — post-mortem diagnostics after all PE
-            // threads joined; any ordering is correct, match the writers.
-            sent: shared.sent.load(SeqCst),
-            received: shared.received.load(SeqCst),
+            sent,
+            received,
             pes: pes.collect(),
         }))
     } else {

@@ -24,8 +24,8 @@ use crate::sync::{CachePadded, MAtomicU64};
 
 /// The epoch the run executes in windows of, or `None` for Time Warp: the
 /// model declares an epoch `E ≥ 1`, the optimism bound is set and at most
-/// `E`, and the GVT protocol is not the barriered one (checkpointing, or an
-/// explicit [`GvtMode::Barrier`](crate::config::GvtMode::Barrier)).
+/// `E`, and the run is not barriered (it neither checkpoints nor sets
+/// [`GvtMode::Barrier`](crate::config::GvtMode::Barrier)).
 pub(crate) fn window_epoch<M: Model>(model: &M, config: &EngineConfig) -> Option<u64> {
     let epoch = model.epoch().filter(|&e| e > 0)?;
     let bound = config.max_lookahead?;

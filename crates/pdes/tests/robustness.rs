@@ -199,40 +199,38 @@ impl Model for SameTimeBurst {
 #[test]
 fn gvt_stall_watchdog_aborts_with_diagnostics() {
     let model = SameTimeBurst { n_events: 200 };
-    // Pinned to the barriered protocol: its reduction rounds are in lockstep
-    // with execution, so the same-time burst holds GVT flat for the 5-round
-    // budget. Incremental rounds are decoupled from execution and drain the
-    // burst between two reductions — no stall to observe.
-    let cfg = EngineConfig::new(VirtualTime::from_steps(5))
-        .with_pes(2)
-        .with_kps(2)
-        .with_gvt_interval(1)
-        .with_batch(1)
-        .with_gvt_mode(GvtMode::Barrier)
-        .with_gvt_stall_rounds(Some(5));
+    for mode in [GvtMode::Auto, GvtMode::Barrier] {
+        let cfg = EngineConfig::new(VirtualTime::from_steps(5))
+            .with_pes(2)
+            .with_kps(2)
+            .with_gvt_interval(1)
+            .with_batch(1)
+            .with_gvt_mode(mode)
+            .with_gvt_stall_rounds(Some(5));
 
-    let err = Run::new(&model, &cfg).go().expect_err("watchdog must trip");
-    match &err {
-        RunError::GvtStalled {
-            gvt,
-            rounds,
-            diagnostics,
-            ..
-        } => {
-            assert_eq!(
-                *gvt,
-                VirtualTime::from_steps(1).0,
-                "stalled at the burst time"
-            );
-            assert!(*rounds >= 5, "tripped after only {rounds} rounds");
-            assert_eq!(diagnostics.pes.len(), 2);
-            // The burst lives on PE 0; its queue depth shows in the dump.
-            assert!(
-                diagnostics.pes[0].queue_depth > 0,
-                "diagnostics missing the stalled queue: {diagnostics}"
-            );
+        let err = Run::new(&model, &cfg).go().expect_err("watchdog must trip");
+        match &err {
+            RunError::GvtStalled {
+                gvt,
+                rounds,
+                diagnostics,
+                ..
+            } => {
+                assert_eq!(
+                    *gvt,
+                    VirtualTime::from_steps(1).0,
+                    "{mode:?}: stalled at the burst time"
+                );
+                assert!(*rounds >= 5, "{mode:?}: tripped after only {rounds} rounds");
+                assert_eq!(diagnostics.pes.len(), 2);
+                // The burst lives on PE 0; its queue depth shows in the dump.
+                assert!(
+                    diagnostics.pes[0].queue_depth > 0,
+                    "{mode:?}: diagnostics missing the stalled queue: {diagnostics}"
+                );
+            }
+            other => panic!("expected GvtStalled under {mode:?}, got {other}"),
         }
-        other => panic!("expected GvtStalled, got {other}"),
     }
 }
 
@@ -252,31 +250,26 @@ fn stall_watchdog_stays_quiet_on_a_healthy_run() {
 
 #[test]
 fn wall_clock_deadline_aborts_the_run() {
-    // A zero deadline trips at the first GVT round while work remains —
-    // checked in a different place by each protocol (the barriered round's
-    // watchdog; the incremental lead while a round is pending or closing).
+    // A zero deadline trips at the first GVT round while work remains.
     let model = PanicRing {
         n_lps: 8,
         victim: 0,
         after: 0,
     };
-    for mode in [GvtMode::Auto, GvtMode::Barrier] {
-        let cfg = ring_config()
-            .with_gvt_mode(mode)
-            .with_gvt_interval(1)
-            .with_deadline(Duration::ZERO);
-        let err = Run::new(&model, &cfg).go().expect_err("deadline must trip");
-        match &err {
-            RunError::GvtStalled {
-                elapsed,
-                diagnostics,
-                ..
-            } => {
-                assert!(*elapsed >= Duration::ZERO);
-                assert_eq!(diagnostics.pes.len(), 2, "{mode:?}");
-            }
-            other => panic!("expected GvtStalled (deadline) under {mode:?}, got {other}"),
+    let cfg = ring_config()
+        .with_gvt_interval(1)
+        .with_deadline(Duration::ZERO);
+    let err = Run::new(&model, &cfg).go().expect_err("deadline must trip");
+    match &err {
+        RunError::GvtStalled {
+            elapsed,
+            diagnostics,
+            ..
+        } => {
+            assert!(*elapsed >= Duration::ZERO);
+            assert_eq!(diagnostics.pes.len(), 2);
         }
+        other => panic!("expected GvtStalled (deadline), got {other}"),
     }
 }
 

@@ -89,7 +89,8 @@ stage "mcheck: exhaustive concurrency model checking (--cfg mcheck)"
 # The in-tree model checker (pdes::mcheck) explores every bounded
 # interleaving + weak-memory read choice of the lock-free protocols: SPSC
 # ring transfer (incl. index wraparound), spill/drain conservation,
-# incremental GVT safety, abortable-barrier liveness, and the windowed
+# Time Warp's GVT quiescence check (agreement on quiet, nothing left in
+# flight, a safe minimum), abortable-barrier liveness, and the windowed
 # arm's hand-off (flush before done, parity report slots, a fault-held
 # message the verbatim drain must release). Budgets are fixed in
 # models::default_cfg, so the stage is deterministic; `complete=true` for
@@ -102,7 +103,7 @@ RUSTFLAGS="--cfg mcheck" CARGO_TARGET_DIR=target/mcheck \
     cargo build --release -q -p bench --bin mcheck
 ./target/mcheck/release/mcheck --out=artifacts/mcheck.json
 # Mutation kill gate: each seeded concurrency bug (Relaxed publication,
-# skipped epoch bump, relaxed round slot, swallowed spill, notify-free
+# quiescence counters sampled before B2, swallowed spill, notify-free
 # abort, window done before flush, Relaxed done counter, one report slot)
 # must be caught by its covering model, with the failing interleaving
 # printed.
@@ -119,13 +120,13 @@ for m in models:
     assert m["schedules"] > 1, f"{m['name']}: trivial exploration"
 with open(sys.argv[2]) as f:
     muts = json.load(f)["mutations"]
-assert len(muts) == 8, muts
+assert len(muts) == 7, muts
 for mu in muts:
     assert mu["killed"], f"mutation {mu['mutation']} survived {mu['model']}"
 print(f"mcheck.json: {len(models)} models complete "
       f"({sum(m['schedules'] for m in models)} schedules, "
       f"{sum(m['transitions'] for m in models)} transitions); "
-      f"{len(muts)}/8 mutations killed")
+      f"{len(muts)}/7 mutations killed")
 EOF
 fi
 
@@ -186,14 +187,14 @@ stage "overhead: toggle costs vs same-process references (BENCH_overhead.json)"
 # Throughput itself is benchmark/run.sh's job, not this script's.
 ./target/release/overhead --out=artifacts/BENCH_overhead.json
 
-stage "chaos: recovery matrix + all three sync arms at release timing"
+stage "chaos: recovery matrix + both sync arms at release timing"
 # Release-mode rerun of the crash-recovery matrix: killed parallel runs are
 # resumed from the newest intact snapshot and must commit bit-identical
 # output to the uninterrupted sequential oracle across {default (ladder),
 # heap} schedulers x {1,2,4} PEs; torn snapshots must be rejected with
 # fallback.
-# window and comm_determinism run the one PE loop under both Time Warp GVT
-# protocols (delay + reorder faults, 2 and 3 PEs), and conservative runs
+# window and comm_determinism run the Time Warp loop (delay + reorder
+# faults, 2 and 3 PEs), and conservative runs
 # the windowed arm (1/2/4 PEs, checkerboard, delay + duplicate + reorder,
 # supervised kill, mid-step resume), against the oracle at release-build
 # timing, where the debug auditor no longer slows the rings down.
