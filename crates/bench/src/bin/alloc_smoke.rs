@@ -2,8 +2,9 @@
 //! per committed event. A counting `#[global_allocator]` wraps the system
 //! allocator; after a warm-up run, a measured run's *total* allocation count
 //! — including all per-run setup (threads, arenas, rings, queue growth) —
-//! is divided by committed events. The run's optimism bound is the
-//! model's one-step epoch, so it takes the rollback-free windowed arm.
+//! is divided by committed events. The run keeps the default optimism
+//! bound, the model's one-step epoch, so it takes the rollback-free
+//! windowed arm.
 //! Setup is most of the ~0.008 allocs/event this run makes; the
 //! steady-state event loop itself contributes ~0: payloads live in the
 //! preallocated arena, schedulers order `Copy` handles in recycled bucket
@@ -19,7 +20,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use hotpotato::{HotPotatoConfig, HotPotatoModel};
-use pdes::{EngineConfig, ObsConfig, VirtualTime};
+use pdes::{EngineConfig, ObsConfig};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
@@ -59,7 +60,6 @@ fn main() {
         .with_seed(0xBE9C_0702)
         .with_pes(4)
         .with_kps(64)
-        .with_lookahead(VirtualTime::STEP)
         .with_obs(ObsConfig::disabled())
         .with_audit(false);
 

@@ -1,15 +1,15 @@
 //! **Attachment 3** — Sample Output: sequential ≡ parallel.
 //!
 //! Runs the same configuration on the sequential kernel and on the
-//! optimistic kernel with 2 and 4 PEs, prints the aggregated statistics
-//! side by side, and verifies they are identical — the paper's
-//! repeatability demonstration (Section 4.2.1).
+//! optimistic kernel (unbounded Time Warp) with 2 and 4 PEs, prints the
+//! aggregated statistics side by side, and verifies they are identical —
+//! the paper's repeatability demonstration (Section 4.2.1).
 //!
 //! ```sh
 //! cargo run --release -p bench --bin determinism [--csv]
 //! ```
 
-use bench::{f, run_point, torus_model, Args, Report};
+use bench::{f, run_point, run_point_timewarp, torus_model, Args, Report};
 
 fn main() {
     let args = Args::parse();
@@ -37,7 +37,11 @@ fn main() {
         ("parallel-2PE", 2),
         ("parallel-4PE", 4),
     ] {
-        let r = run_point(&model, args.seed, pes, 64);
+        let r = if pes == 1 {
+            run_point(&model, args.seed, pes, 64)
+        } else {
+            run_point_timewarp(&model, args.seed, pes, 64, 1024)
+        };
         report.row(&[
             label.to_string(),
             r.output.totals.delivered.to_string(),

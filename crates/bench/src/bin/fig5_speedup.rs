@@ -1,11 +1,13 @@
 //! **Figures 5 and 6** — Parallel Speed-Up and Efficiency.
 //!
 //! Net event rate (committed events per wall-clock second) of the
-//! optimistic kernel versus N for 1, 2 and 4 PEs (Figure 5), and the
-//! derived efficiency speedup/#PE (Figure 6). The sequential kernel runs
-//! the same problem beside them: `tw1_over_seq` (1-PE Time Warp rate ÷
-//! sequential rate) is the price of being optimistic at all, before any
-//! speculation is wasted (ROADMAP item 4).
+//! optimistic kernel (unbounded Time Warp) versus N for 1, 2 and 4 PEs
+//! (Figure 5), and the derived efficiency speedup/#PE (Figure 6). The
+//! sequential kernel runs the same problem beside them: `tw1_over_seq`
+//! (1-PE Time Warp rate ÷ sequential rate) is the price of being optimistic
+//! at all, before any speculation is wasted (ROADMAP item 4). `win 2PE` is
+//! the same problem at 2 PEs with the default bound, the model's one-step
+//! epoch: the rollback-free windowed arm.
 //!
 //! Hardware note: the paper ran on a quad-processor PC server. A PE column
 //! with more PEs than the host has hardware threads time-slices cores, so
@@ -33,6 +35,7 @@ fn main() {
     println!("# Figure 5: event rate (committed events/s) vs N, by PE count");
     println!("# Figure 6: efficiency = (rate_P / rate_1) / P");
     println!("# tw1_over_seq = rate_1 / rate_seq (1-PE Time Warp over the sequential kernel)");
+    println!("# win 2PE = the windowed arm at 2 PEs (default bound: the one-step epoch)");
     println!("# hardware threads: {hw}");
     for p in pes.into_iter().filter(|&p| p > hw) {
         println!(
@@ -49,6 +52,7 @@ fn main() {
             "ev/s 1PE",
             "ev/s 2PE",
             "ev/s 4PE",
+            "win 2PE",
             "tw1_over_seq",
             "eff 2PE",
             "eff 4PE",
@@ -69,6 +73,7 @@ fn main() {
             rates.push(stats.event_rate());
             rolled.push(stats.events_rolled_back);
         }
+        let win2 = median_wall(|| run_point(&model, args.seed, 2, 64).stats).event_rate();
         report.row(&[
             n.to_string(),
             (n * n).to_string(),
@@ -76,6 +81,7 @@ fn main() {
             f(rates[0]),
             f(rates[1]),
             f(rates[2]),
+            f(win2),
             f(rates[0] / seq),
             f(rates[1] / rates[0] / 2.0),
             f(rates[2] / rates[0] / 4.0),

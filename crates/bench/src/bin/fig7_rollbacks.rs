@@ -38,6 +38,10 @@ fn main() {
             let mut counts: Vec<u64> = (0..5)
                 .map(|_| {
                     let stats = run_point_timewarp(&model, args.seed, 2, kps, 512).stats;
+                    assert!(
+                        stats.total_rollbacks() > 0,
+                        "no rollback (n={n} kps={kps}): the run did not take Time Warp"
+                    );
                     // The series is re-derived from the blame-cascade
                     // ledger; any drift from the legacy counter means the
                     // two rollback accounting paths disagree.

@@ -4,9 +4,10 @@
 //! and optionally export the run as a Chrome/Perfetto trace and a metrics
 //! JSONL stream. Every file written is re-read and validated as JSON before
 //! the binary exits 0, so CI can use it as an end-to-end check of the
-//! export pipeline. Optimism is bounded to the model's one-step epoch, so
-//! the run takes the rollback-free windowed arm and its rollback columns
-//! read zero; `rollback_report` is the Time Warp counterpart.
+//! export pipeline. The run keeps the default optimism bound, the model's
+//! one-step epoch, so it takes the rollback-free windowed arm and its
+//! rollback columns read zero; `rollback_report` is the Time Warp
+//! counterpart.
 //!
 //! ```sh
 //! cargo run --release -p bench --bin obs_report -- \
@@ -36,9 +37,7 @@ use std::sync::Arc;
 
 use hotpotato::{HotPotatoConfig, HotPotatoModel};
 use pdes::obs::{chrome, json};
-use pdes::{
-    EngineConfig, EngineStats, JsonlSink, ObsConfig, Phase, Telemetry, VirtualTime, TRACE_UNBOUNDED,
-};
+use pdes::{EngineConfig, EngineStats, JsonlSink, ObsConfig, Phase, Telemetry, TRACE_UNBOUNDED};
 
 fn main() {
     let mut n: u32 = 16;
@@ -101,7 +100,6 @@ fn main() {
         .with_seed(seed)
         .with_pes(pes)
         .with_kps(64)
-        .with_lookahead(VirtualTime::STEP)
         .with_obs(obs);
 
     let run = model.run(&engine).go().expect("parallel run failed");

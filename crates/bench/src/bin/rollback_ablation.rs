@@ -44,7 +44,8 @@ fn main() {
         let engine = EngineConfig::new(model.end_time())
             .with_seed(args.seed)
             .with_pes(2)
-            .with_kps(64);
+            .with_kps(64)
+            .with_lookahead(u64::MAX);
 
         let rc = median_wall(|| check(model.run(&engine).go()).stats);
         let ss = median_wall(|| check(model.run(&engine).state_saving().go()).stats);

@@ -123,6 +123,11 @@ fn main() {
     let model = torus_model(n, steps, 1.0);
     let stats = run_point_timewarp(&model, seed, pes, kps, gvt_interval).stats;
     assert_reconciled(&stats);
+    // One PE cannot roll back; on more, unbounded Time Warp must speculate.
+    assert!(
+        pes == 1 || stats.total_rollbacks() > 0,
+        "no rollback on {pes} PEs: the run did not take Time Warp"
+    );
     let blame = &stats.blame;
 
     println!(

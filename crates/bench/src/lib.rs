@@ -137,8 +137,9 @@ pub fn torus_model(n: u32, steps: u64, injectors: f64) -> HotPotatoModel<topo::T
     HotPotatoModel::torus(HotPotatoConfig::new(n, steps).with_injectors(injectors))
 }
 
-/// Run one sweep point: sequential kernel for `pes <= 1`, optimistic
-/// kernel (block mapping) otherwise.
+/// Run one sweep point: sequential kernel for `pes <= 1`, parallel kernel
+/// (block mapping) at the default bound otherwise — the model's one-step
+/// epoch, so the run is windowed and never rolls back.
 pub fn run_point(
     model: &HotPotatoModel<topo::Torus>,
     seed: u64,
@@ -231,8 +232,9 @@ pub fn lineage_means(res: &RunResult<NetStats>) -> (f64, f64) {
     )
 }
 
-/// Run one sweep point on the *optimistic* kernel even for one PE (for
-/// engine-performance figures where Time Warp overhead must be included).
+/// Run one sweep point on the *optimistic* kernel even for one PE, with
+/// unbounded optimism (for engine-performance figures where Time Warp
+/// overhead and rollbacks must be included).
 pub fn run_point_timewarp(
     model: &HotPotatoModel<topo::Torus>,
     seed: u64,
@@ -244,7 +246,8 @@ pub fn run_point_timewarp(
         .with_seed(seed)
         .with_pes(pes)
         .with_kps(kps)
-        .with_gvt_interval(gvt_interval);
+        .with_gvt_interval(gvt_interval)
+        .with_lookahead(u64::MAX);
     check(model.run(&engine).go())
 }
 

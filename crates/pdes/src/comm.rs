@@ -38,7 +38,7 @@
 //!
 //! Each channel is strictly single-producer/single-consumer:
 //! [`CommFabric::push_batch`] with `from = s` must only be called by the
-//! thread running PE `s`, and [`CommFabric::drain_to`] with `to = r` only by
+//! thread running PE `s`, and [`CommFabric::drain_batches`] with `to = r` only by
 //! the thread running PE `r`. The kernel upholds this structurally (a PE
 //! only sends as itself and only drains its own channels). Within a channel,
 //! messages arrive in send order — the same guarantee the mutex inboxes
@@ -53,7 +53,6 @@ use std::mem::MaybeUninit;
 use std::sync::atomic::Ordering;
 
 use crate::event::{PeId, Remote};
-use crate::pool::VecPool;
 use crate::sync::{CachePadded, MAtomicU64, MAtomicUsize, MCell, MMutex};
 
 /// One flushed group of messages (the unit the rings carry).
@@ -297,80 +296,13 @@ impl<P: Send> CommFabric<P> {
         }
     }
 
-    /// Drain every channel targeting PE `to`: append all pending messages to
-    /// `into` (per-sender FIFO order preserved) and recycle the emptied
-    /// batch vectors through `pool`. Returns the number of messages drained.
-    ///
-    /// Contract: only the thread running PE `to` may call this.
-    pub(crate) fn drain_to(
-        &self,
-        to: PeId,
-        into: &mut Vec<Remote<P>>,
-        pool: &mut VecPool<Remote<P>>,
-    ) -> u64 {
-        let mut total = 0u64;
-        let mut take = |msgs: &mut u64, mut batch: Batch<P>| {
-            *msgs += batch.len() as u64;
-            into.append(&mut batch);
-            pool.put(batch);
-        };
-        for from in 0..self.n_pes {
-            if from == to {
-                continue;
-            }
-            let ch = self.channel(from, to);
-            let mut msgs = 0u64;
-            // SAFETY: per the contract, this thread is the unique consumer
-            // for channel (from → to).
-            unsafe {
-                ch.ring.consume(|batch| take(&mut msgs, batch));
-            }
-            // Overflow batches are newer than anything in the ring *at spill
-            // time*, but the producer may have refilled the ring between the
-            // consume above and a concurrent spill. Re-consuming the ring
-            // under the overflow lock closes that window: while `spilled` is
-            // nonzero the producer only appends to the overflow, so whatever
-            // this second pass finds predates the overflow's head batch.
-            //
-            // ORDER: Acquire — pairs with the Release in `spill`; observing
-            // a nonzero count means the overflow Vec (guarded by the lock
-            // below) holds at least that batch.
-            if ch.spilled.load(Ordering::Acquire) > 0 {
-                let mut of = ch.overflow.lock();
-                // SAFETY: same unique-consumer contract as the first consume
-                // above; taking the overflow lock does not admit a second
-                // consumer thread.
-                unsafe {
-                    ch.ring.consume(|batch| take(&mut msgs, batch));
-                }
-                // ORDER: Release — resets the producer's spill latch; pairs
-                // with the Acquire fast-path check in `push_batch`.
-                ch.spilled.store(0, Ordering::Release);
-                #[cfg_attr(not(mcheck), allow(unused_mut))]
-                let mut spilled = std::mem::take(&mut *of);
-                drop(of);
-                #[cfg(mcheck)]
-                crate::mcheck::mutation::maybe_swallow_spill(&mut spilled);
-                for batch in spilled {
-                    take(&mut msgs, batch);
-                }
-            }
-            if msgs > 0 {
-                // ORDER: Relaxed — diagnostics counter (see `push_batch`).
-                ch.in_flight.fetch_sub(msgs, Ordering::Relaxed);
-                total += msgs;
-            }
-        }
-        total
-    }
-
-    /// Zero-copy drain: move every pending *batch* (the `Vec` headers, not
-    /// their contents) targeting PE `to` into `into`, per-sender FIFO order
-    /// preserved. Returns the number of messages moved. The caller applies
-    /// each message straight out of the batch — landing payloads directly in
-    /// its event arena — and recycles the emptied vectors itself, which
-    /// eliminates the per-message copy [`drain_to`](Self::drain_to) performs
-    /// into its staging vector.
+    /// Drain every channel targeting PE `to`: move every pending *batch*
+    /// (the `Vec` headers, not their contents) into `into`, per-sender FIFO
+    /// order preserved. Returns the number of messages moved. The caller
+    /// applies each message straight out of the batch — landing payloads
+    /// directly in its event arena — or flattens the batches when it must
+    /// reorder across them (the fault filter), and recycles the emptied
+    /// vectors itself. This is the fabric's one consumer-side path.
     ///
     /// Contract: only the thread running PE `to` may call this.
     pub(crate) fn drain_batches(&self, to: PeId, into: &mut Vec<Batch<P>>) -> u64 {
@@ -389,12 +321,16 @@ impl<P: Send> CommFabric<P> {
                     into.push(batch);
                 });
             }
-            // Same overflow discipline as drain_to: re-consume the ring
-            // under the overflow lock so a concurrent refill cannot reorder
-            // ahead of spilled batches.
+            // Overflow batches are newer than anything in the ring *at spill
+            // time*, but the producer may have refilled the ring between the
+            // consume above and a concurrent spill. Re-consuming the ring
+            // under the overflow lock closes that window: while `spilled` is
+            // nonzero the producer only appends to the overflow, so whatever
+            // this second pass finds predates the overflow's head batch.
             //
-            // ORDER: Acquire — pairs with the Release in `spill` (see
-            // `drain_to`).
+            // ORDER: Acquire — pairs with the Release in `spill`; observing
+            // a nonzero count means the overflow Vec (guarded by the lock
+            // below) holds at least that batch.
             if ch.spilled.load(Ordering::Acquire) > 0 {
                 let mut of = ch.overflow.lock();
                 // SAFETY: same unique-consumer contract as the first consume
@@ -444,6 +380,7 @@ impl<P: Send> CommFabric<P> {
 mod tests {
     use super::*;
     use crate::event::{ChildRef, EventId, EventKey};
+    use crate::pool::VecPool;
     use crate::time::VirtualTime;
 
     fn anti(seq: u64) -> Remote<()> {
@@ -548,10 +485,20 @@ mod tests {
         // -style leak detectors; here we just exercise the path).
     }
 
+    /// Drain PE `to`'s channels and flatten the batches into `into`, as the
+    /// kernel's fault-filtered path does.
+    fn drain(fabric: &CommFabric<()>, to: PeId, into: &mut Vec<Remote<()>>) -> u64 {
+        let mut batches = Vec::new();
+        let n = fabric.drain_batches(to, &mut batches);
+        for mut batch in batches {
+            into.append(&mut batch);
+        }
+        n
+    }
+
     #[test]
     fn fabric_overflow_preserves_fifo_order() {
         let fabric: CommFabric<()> = CommFabric::new(2);
-        let mut pool = VecPool::new();
         let mut stalls = 0u32;
         // Push far more batches than the ring holds; the tail must spill and
         // still come out in order.
@@ -563,7 +510,7 @@ mod tests {
         assert!(stalls >= 50, "overflow path never exercised");
         assert_eq!(fabric.inbox_depth(1), RING_SLOTS as u64 + 50);
         let mut into = Vec::new();
-        let n = fabric.drain_to(1, &mut into, &mut pool);
+        let n = drain(&fabric, 1, &mut into);
         assert_eq!(n, RING_SLOTS as u64 + 50);
         assert_eq!(seqs(&into), (0..RING_SLOTS as u64 + 50).collect::<Vec<_>>());
         assert_eq!(fabric.inbox_depth(1), 0);
@@ -577,13 +524,12 @@ mod tests {
         // spill, and from then on every push spills (order preserved) until
         // a drain resets the latch.
         let fabric: CommFabric<()> = CommFabric::with_ring_slots(2, 1);
-        let mut pool = VecPool::new();
         assert!(!fabric.push_batch(0, 1, vec![anti(0)]), "slot 0 is free");
         assert!(fabric.push_batch(0, 1, vec![anti(1)]), "ring full: spill");
         assert!(fabric.push_batch(0, 1, vec![anti(2)]), "latched: spill");
         assert_eq!(fabric.inbox_depth(1), 3);
         let mut into = Vec::new();
-        assert_eq!(fabric.drain_to(1, &mut into, &mut pool), 3);
+        assert_eq!(drain(&fabric, 1, &mut into), 3);
         assert_eq!(seqs(&into), vec![0, 1, 2]);
         assert_eq!(fabric.inbox_depth(1), 0);
         // Latch reset: the ring fast path works again.
@@ -592,14 +538,22 @@ mod tests {
 
     #[test]
     fn drain_recycles_batch_vectors() {
+        // The drain hands back the very vectors the sender pushed — no copy —
+        // so the receiver can recycle them into its pool.
         let fabric: CommFabric<()> = CommFabric::new(2);
+        let (a, b) = (vec![anti(0), anti(1)], vec![anti(2)]);
+        let sent = [a.as_ptr(), b.as_ptr()];
+        fabric.push_batch(0, 1, a);
+        fabric.push_batch(0, 1, b);
+        let mut batches = Vec::new();
+        assert_eq!(fabric.drain_batches(1, &mut batches), 3);
+        let drained: Vec<_> = batches.iter().map(|b| b.as_ptr()).collect();
+        assert_eq!(drained, sent);
         let mut pool = VecPool::new();
-        fabric.push_batch(0, 1, vec![anti(0), anti(1)]);
-        fabric.push_batch(0, 1, vec![anti(2)]);
-        let mut into = Vec::new();
-        assert_eq!(fabric.drain_to(1, &mut into, &mut pool), 3);
+        for batch in batches {
+            pool.put(batch);
+        }
         assert_eq!(pool.free_len(), 2, "both batch vectors must be recycled");
-        assert_eq!(seqs(&into), vec![0, 1, 2]);
     }
 
     #[test]
@@ -634,11 +588,10 @@ mod tests {
                 }
             });
             s.spawn(|| {
-                let mut pool = VecPool::new();
                 let mut got: Vec<u64> = Vec::new();
                 let mut into = Vec::new();
                 while (got.len() as u64) < total {
-                    fabric.drain_to(1, &mut into, &mut pool);
+                    drain(&fabric, 1, &mut into);
                     got.extend(seqs(&into));
                     into.clear();
                     std::thread::yield_now();

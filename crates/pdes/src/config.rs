@@ -18,12 +18,14 @@ pub enum GvtMode {
     /// The windowed arm when the epoch allows it, else Time Warp: when the
     /// model declares an epoch ([`Model::epoch`](crate::model::Model::epoch)),
     /// [`max_lookahead`](EngineConfig::max_lookahead) is at most that epoch
-    /// and the run does not checkpoint, the PEs run rollback-free and agree
-    /// on one minimum per window. Checkpointing runs take Time Warp, whose
-    /// quiescent rounds the snapshot frames need. This is the default.
+    /// (an unset bound is the epoch) and the run does not checkpoint, the
+    /// PEs run rollback-free and agree on one minimum per window.
+    /// Checkpointing runs take Time Warp, whose quiescent rounds the
+    /// snapshot frames need, at the same bound. This is the default.
     #[default]
     Auto,
-    /// Never take the windowed arm: every parallel run is Time Warp.
+    /// Never take the windowed arm: every parallel run is Time Warp, at the
+    /// resolved bound (the model's epoch when none is set).
     Barrier,
 }
 
@@ -56,18 +58,21 @@ pub struct EngineConfig {
     /// sooner (fewer rollbacks); larger batches amortize ring traffic.
     /// Committed output is identical at every setting.
     pub comm_batch: Option<usize>,
-    /// Optimism throttle, as a *ceiling*: if set, a PE never executes events
-    /// more than this many ticks past the last computed GVT, and the kernel
-    /// narrows each PE's own window below it — toward one
-    /// [`VirtualTime::STEP`] — while that PE's rollbacks stay above a few
-    /// percent of what it processes, then widens it again slowly over calm
-    /// rounds. Bounds rollback depth (and memory) at the cost of more
-    /// frequent GVT rounds. A ceiling of one step or less is never narrowed.
-    /// `None` = unbounded optimism (classic Time Warp), never throttled.
-    /// A ceiling at or below the model's declared epoch
-    /// ([`Model::epoch`](crate::model::Model::epoch)) allows no speculation
-    /// the epoch does not make safe, so such a run takes the rollback-free
-    /// windowed arm unless it checkpoints or sets [`GvtMode::Barrier`].
+    /// Optimism bound: a PE never executes an event more than this many
+    /// ticks past the last computed GVT. The bound is fixed for the whole
+    /// run. It bounds rollback depth (and memory) at the cost of more
+    /// frequent GVT rounds.
+    ///
+    /// `None` (the default) means the model's declared epoch
+    /// ([`Model::epoch`](crate::model::Model::epoch)), or unbounded
+    /// optimism for a model that declares none: [`Run::go`](crate::Run::go)
+    /// resolves it once, before the run is registered. A bound at or below
+    /// the epoch allows no speculation the epoch does not make safe, so such
+    /// a run takes the rollback-free windowed arm unless it checkpoints or
+    /// sets [`GvtMode::Barrier`]; a model with an epoch therefore runs
+    /// windowed by default. Time Warp on such a model is an explicit opt-in:
+    /// a bound above the epoch, or `Some(u64::MAX)` for unbounded optimism
+    /// (`with_lookahead(u64::MAX)`).
     /// Committed output is identical at every setting.
     pub max_lookahead: Option<u64>,
     /// Deterministic fault injection at the inter-PE inbox boundary (see
@@ -186,9 +191,9 @@ impl EngineConfig {
         }
     }
 
-    /// Throttle optimism to at most `ticks` past GVT — a ceiling; the kernel
-    /// narrows toward one step under sustained rollback (see
-    /// [`max_lookahead`](Self::max_lookahead)).
+    /// Bound optimism to at most `ticks` past GVT (see
+    /// [`max_lookahead`](Self::max_lookahead)); `u64::MAX` is unbounded Time
+    /// Warp, also on a model that declares an epoch.
     pub fn with_lookahead(mut self, ticks: u64) -> Self {
         self.max_lookahead = Some(ticks);
         self

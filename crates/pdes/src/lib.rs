@@ -15,8 +15,9 @@
 //!   ([`parallel`]).
 //! * **GVT** (global virtual time) is computed by a Fujimoto-style
 //!   barriered reduction, after which events are committed and
-//!   fossil-collected. A model that declares an epoch can run rollback-free
-//!   instead, one window at a time (see [`GvtMode`]).
+//!   fossil-collected. A model that declares an epoch runs rollback-free
+//!   instead by default, one window at a time (see [`GvtMode`] and
+//!   [`EngineConfig::max_lookahead`]).
 //! * **Reversible RNG** streams ([`rng`]) let rollbacks un-step every random
 //!   draw exactly (ROSS's `tw_rand_reverse_unif`).
 //! * A **sequential kernel** ([`sequential`]) with identical semantics is

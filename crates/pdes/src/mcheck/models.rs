@@ -15,7 +15,6 @@ use crate::fault::{FaultPlan, FaultState};
 use crate::gvt::GvtRound;
 use crate::obs::blame::CascadeTag;
 use crate::parallel::window::{hand_off, WindowSync};
-use crate::pool::VecPool;
 use crate::stats::EngineStats;
 use crate::sync::AbortableBarrier;
 use crate::time::VirtualTime;
@@ -155,6 +154,17 @@ fn recv_time(m: &Remote<()>) -> u64 {
     }
 }
 
+/// Drain PE `to`'s channels through the fabric's one consumer path and
+/// flatten the batches, as the kernel's fault-filtered drain does.
+fn drain(fab: &CommFabric<()>, to: usize, into: &mut Vec<Remote<()>>) -> u64 {
+    let mut batches = Vec::new();
+    let n = fab.drain_batches(to, &mut batches);
+    for mut batch in batches {
+        into.append(&mut batch);
+    }
+    n
+}
+
 fn seqs(msgs: &[Remote<()>]) -> Vec<u64> {
     msgs.iter()
         .map(|m| match m {
@@ -185,19 +195,17 @@ pub fn ring_spill(cfg: &ExploreConfig) -> ModelReport {
         {
             let (fab, got) = (fab.clone(), got.clone());
             s.thread("receiver", move || {
-                let mut pool = VecPool::new();
                 let mut inbox = Vec::new();
                 for _ in 0..2 {
-                    fab.drain_to(1, &mut inbox, &mut pool);
+                    drain(&fab, 1, &mut inbox);
                     yield_now();
                 }
                 got.lock().unwrap().extend(seqs(&inbox));
             });
         }
         s.finale(move || {
-            let mut pool = VecPool::new();
             let mut inbox = Vec::new();
-            fab.drain_to(1, &mut inbox, &mut pool);
+            drain(&fab, 1, &mut inbox);
             let mut all = got.lock().unwrap().clone();
             all.extend(seqs(&inbox));
             check(
@@ -248,7 +256,6 @@ pub fn quiesce(cfg: &ExploreConfig) -> ModelReport {
                 } else {
                     (Vec::new(), u64::MAX)
                 };
-                let mut pool = VecPool::new();
                 barrier.wait().expect("never aborted"); // B1
                 loop {
                     let mut last = None;
@@ -257,7 +264,7 @@ pub fn quiesce(cfg: &ExploreConfig) -> ModelReport {
                             fab.push_batch(0, 1, std::mem::take(&mut buf));
                         }
                         let mut inbox = Vec::new();
-                        let n = fab.drain_to(pe, &mut inbox, &mut pool);
+                        let n = drain(&fab, pe, &mut inbox);
                         if n > 0 {
                             gvt.count_received(n);
                         }
@@ -291,9 +298,9 @@ pub fn quiesce(cfg: &ExploreConfig) -> ModelReport {
                 p[0] == p[1],
                 &format!("the PEs disagree on quiet: {:?}", *p),
             );
-            let (mut pool, mut rest) = (VecPool::new(), Vec::new());
+            let mut rest = Vec::new();
             for pe in 0..2 {
-                fab.drain_to(pe, &mut rest, &mut pool);
+                drain(&fab, pe, &mut rest);
             }
         });
     })
@@ -380,7 +387,6 @@ pub fn window(cfg: &ExploreConfig) -> ModelReport {
             s.thread(if pe == 0 { "pe0" } else { "pe1" }, move || {
                 // Sequence numbers of the messages this PE has delivered.
                 let mut delivered = Vec::new();
-                let mut pool = VecPool::new();
                 let mut faults = FaultState::new(FaultPlan::new(1).with_delay(1.0), pe);
                 let mut stats = EngineStats::default();
                 for w in 1..=2u64 {
@@ -399,7 +405,7 @@ pub fn window(cfg: &ExploreConfig) -> ModelReport {
                         }
                         if pe == 1 {
                             let mut inbox = Vec::new();
-                            fab.drain_to(pe, &mut inbox, &mut pool);
+                            drain(&fab, pe, &mut inbox);
                             let passed = faults.filter(inbox, &mut stats);
                             delivered.extend(seqs(&passed));
                         }
@@ -412,7 +418,7 @@ pub fn window(cfg: &ExploreConfig) -> ModelReport {
                     if pe == 1 {
                         let mut inbox = Vec::new();
                         faults.take_holdback(&mut inbox);
-                        fab.drain_to(pe, &mut inbox, &mut pool);
+                        drain(&fab, pe, &mut inbox);
                         delivered.extend(seqs(&inbox));
                         check(
                             delivered == [0],
@@ -431,9 +437,9 @@ pub fn window(cfg: &ExploreConfig) -> ModelReport {
         s.finale(move || {
             // Empty the rings after every thread has finished, so the
             // fabric is dropped here and holds nothing when it is.
-            let (mut pool, mut rest) = (VecPool::new(), Vec::new());
+            let mut rest = Vec::new();
             for pe in 0..2 {
-                fab.drain_to(pe, &mut rest, &mut pool);
+                drain(&fab, pe, &mut rest);
             }
         });
     })

@@ -315,11 +315,13 @@ pub trait Model: Send + Sync + 'static {
     /// executing at a time in `[kE, (k+1)E)` carries a receive time
     /// `≥ (k+1)E`. Events an LP schedules for itself are unconstrained.
     ///
-    /// The parallel kernel then runs the run rollback-free, one epoch-wide
-    /// window at a time, whenever the optimism bound
-    /// ([`EngineConfig::max_lookahead`](crate::config::EngineConfig::max_lookahead))
-    /// is set to at most `E` and the run neither checkpoints nor sets
-    /// [`GvtMode::Barrier`](crate::config::GvtMode::Barrier). A send that
+    /// The epoch is also the run's default optimism bound
+    /// ([`EngineConfig::max_lookahead`](crate::config::EngineConfig::max_lookahead)
+    /// left `None`). The parallel kernel runs the run rollback-free, one
+    /// epoch-wide window at a time, whenever that bound is at most `E` and
+    /// the run neither checkpoints nor sets
+    /// [`GvtMode::Barrier`](crate::config::GvtMode::Barrier); a bound above
+    /// `E` (`u64::MAX` for unbounded) opts into Time Warp. A send that
     /// breaks the promise fails that run with
     /// [`RunError::EpochViolated`](crate::error::RunError::EpochViolated).
     /// The default, `None` (and `Some(0)`), declares nothing: the run is

@@ -1,18 +1,17 @@
-//! JSONL metrics export, a dependency-free JSON validator, and a minimal
-//! JSON value parser.
+//! JSONL metrics export and a minimal dependency-free JSON parser (which
+//! is also the validator).
 //!
 //! The emitter side is deliberately trivial: every [`RoundSnapshot`] field
 //! is an unsigned integer, so one `format!` per line produces valid JSON
 //! with no escaping concerns; the few emitters that write strings (the run
 //! manifest, the model checker's report) escape them with [`quote`]. The
-//! validator side is a minimal recursive-descent checker (not a parser — it
-//! builds nothing) used by the unit tests, `obs_report`, and CI to prove
-//! exported files are well-formed without pulling in a JSON crate. The
-//! parser side ([`parse`] / [`JsonValue`]) is the read path the tests and
-//! the repo benchmark use to consume the files this repo itself emits —
-//! same RFC 8259 grammar, but it builds a value tree. Integers are kept
-//! exact up to the full `u64`/`i64` range (`lvt` is `u64::MAX` on idle PEs;
-//! an f64 round-trip would corrupt it).
+//! read side is one minimal recursive-descent parser ([`parse`] /
+//! [`JsonValue`]), the path the tests and the repo benchmark use to consume
+//! the files this repo itself emits, without pulling in a JSON crate;
+//! [`validate`] is the same parser with the value discarded, used by the
+//! unit tests, `obs_report`, and CI to prove exported files are
+//! well-formed. Integers are kept exact up to the full `u64`/`i64` range
+//! (`lvt` is `u64::MAX` on idle PEs; an f64 round-trip would corrupt it).
 
 use std::io::{BufWriter, Write};
 use std::path::Path;
@@ -102,20 +101,10 @@ pub fn write_metrics_jsonl(telemetry: &Telemetry, path: impl AsRef<Path>) -> std
 
 /// Validate that `text` is exactly one well-formed JSON value (RFC 8259
 /// grammar; rejects trailing garbage). Returns the byte offset of the first
-/// error.
+/// error. This is [`parse`] with the value discarded: one grammar, one set
+/// of offsets and messages.
 pub fn validate(text: &str) -> Result<(), JsonError> {
-    let mut v = Validator {
-        bytes: text.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
-    v.skip_ws();
-    v.value()?;
-    v.skip_ws();
-    if v.pos != v.bytes.len() {
-        return Err(v.err("trailing characters after JSON value"));
-    }
-    Ok(())
+    parse(text).map(|_| ())
 }
 
 /// Validate JSONL: every non-empty line must be a well-formed JSON value.
@@ -143,7 +132,7 @@ pub struct JsonError {
     pub offset: usize,
     /// 1-based line number (JSONL validation only).
     pub line: Option<usize>,
-    /// What the validator expected.
+    /// What the parser expected.
     pub message: &'static str,
 }
 
@@ -159,16 +148,18 @@ impl std::fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 /// Nesting bound: deep enough for any real export, shallow enough that a
-/// hostile input cannot overflow the validator's stack.
+/// hostile input cannot overflow the parser's stack.
 const MAX_DEPTH: usize = 128;
 
-struct Validator<'a> {
+/// The byte cursor under [`Parser`]: position, nesting depth, and the
+/// scanners that check a literal, string or number in place.
+struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
 }
 
-impl Validator<'_> {
+impl Cursor<'_> {
     fn err(&self, message: &'static str) -> JsonError {
         JsonError {
             offset: self.pos,
@@ -196,82 +187,12 @@ impl Validator<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<(), JsonError> {
-        if self.depth >= MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
-        }
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => self.string(),
-            Some(b't') => self.literal(b"true"),
-            Some(b'f') => self.literal(b"false"),
-            Some(b'n') => self.literal(b"null"),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
     fn literal(&mut self, word: &[u8]) -> Result<(), JsonError> {
         if self.bytes[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(())
         } else {
             Err(self.err("invalid literal"))
-        }
-    }
-
-    fn object(&mut self) -> Result<(), JsonError> {
-        self.depth += 1;
-        self.eat(b'{', "expected '{'")?;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            self.string()?;
-            self.skip_ws();
-            self.eat(b':', "expected ':' after object key")?;
-            self.skip_ws();
-            self.value()?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(());
-                }
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<(), JsonError> {
-        self.depth += 1;
-        self.eat(b'[', "expected '['")?;
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            self.value()?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(());
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
         }
     }
 
@@ -436,12 +357,11 @@ impl JsonValue {
     }
 }
 
-/// Parse `text` as exactly one JSON value (same grammar and limits as
-/// [`validate`], including the [`MAX_DEPTH`] recursion bound and the
-/// trailing-garbage rejection).
+/// Parse `text` as exactly one JSON value (RFC 8259 grammar, with the
+/// [`MAX_DEPTH`] recursion bound and the trailing-garbage rejection).
 pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
-        v: Validator {
+        v: Cursor {
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -456,10 +376,10 @@ pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
     Ok(value)
 }
 
-/// Recursive-descent value builder layered over the validator's cursor
-/// (same error offsets/messages, one extra allocation per node).
+/// Recursive descent over a [`Cursor`] that turns the text into a
+/// [`JsonValue`] tree (one allocation per node).
 struct Parser<'a> {
-    v: Validator<'a>,
+    v: Cursor<'a>,
 }
 
 impl Parser<'_> {
@@ -587,7 +507,7 @@ impl Parser<'_> {
                     }
                     out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
                 }
-                _ => unreachable!("validator rejects unknown escapes"),
+                _ => unreachable!("the cursor rejects unknown escapes"),
             }
             i += 1;
         }

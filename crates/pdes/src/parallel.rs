@@ -23,11 +23,15 @@
 //!   once any PE asks for a round, all PEs rendezvous, drain until the
 //!   global sent/received counters agree, and take the min of their queue
 //!   heads. Events older than GVT are *committed* and fossil-collected.
+//! * **Optimism bound** — a PE never executes an event more than
+//!   [`max_lookahead`](EngineConfig::max_lookahead) ticks past the last GVT.
+//!   The bound is fixed for the run: unset, it is the model's epoch
+//!   ([`Model::epoch`]), or unbounded for a model that declares none.
 //! * **Windowed conservative arm** (`parallel/window.rs`) — when the model
-//!   declares an epoch ([`Model::epoch`]), the optimism bound is within it
-//!   and the run is not barriered, none of the above runs: the PEs execute
-//!   and commit one epoch at a time and agree barrier-free where the next
-//!   one starts. Nothing is ever rolled back.
+//!   declares an epoch, the optimism bound is within it (the default) and
+//!   the run is not barriered, none of the above runs: the PEs execute and
+//!   commit one epoch at a time and agree barrier-free where the next one
+//!   starts. Nothing is ever rolled back.
 //!
 //! Determinism: because the commit order is the total [`EventKey`] order —
 //! logical fields only — a parallel run commits exactly the sequential
@@ -148,41 +152,6 @@ use crate::time::VirtualTime;
 /// Consecutive idle polls before an idle PE forces a GVT round (drives
 /// termination detection without barrier-storming busy PEs).
 const IDLE_GVT_TRIGGER: u64 = 64;
-
-/// Optimism-window controller, run by every PE at the end of each GVT round
-/// on its own counters (see [`next_window`]). A round that rolled back more
-/// than one event per `NARROW_ONE_IN` processed halves the window; any
-/// other round widens it by `floor / WIDEN_DIV`. Chosen by a sweep on the
-/// every-hop-remote torus (DESIGN.md, "Optimism window"): anywhere in
-/// 1/8–1/64 × 32–128 performs alike, 1/4 × 8 regrows into the echo.
-const NARROW_ONE_IN: u64 = 32;
-const WIDEN_DIV: u64 = 128;
-
-/// The next optimism window (ticks past GVT) given the current one, its
-/// bounds, and what this PE did since the last round: multiplicative
-/// decrease under rollback echo, slow additive recovery otherwise — the
-/// Korniss et al. moving-window constraint with the width driven by the
-/// rollback ratio. `floor` is `min(ceiling, VirtualTime::STEP)`: one step
-/// of lookahead is what a synchronous network always has, so narrowing
-/// below it only idles the PE. A round that processed nothing carries no
-/// evidence and holds the window.
-fn next_window(
-    current: u64,
-    floor: u64,
-    ceiling: u64,
-    processed_delta: u64,
-    rolled_back_delta: u64,
-) -> u64 {
-    debug_assert!(floor <= ceiling);
-    let next = if processed_delta == 0 {
-        current
-    } else if rolled_back_delta.saturating_mul(NARROW_ONE_IN) > processed_delta {
-        current / 2
-    } else {
-        current.saturating_add((floor / WIDEN_DIV).max(1))
-    };
-    next.clamp(floor, ceiling)
-}
 
 /// Lock a mutex, recovering the guard if a panicking thread poisoned it (the
 /// kernel's shared state stays consistent across a contained panic — we only
@@ -344,22 +313,14 @@ struct PeRuntime<'a, M: Model> {
     cancel_stack: Vec<ChildRef>,
     /// Scratch buffer reused by the fault-filtered drain path.
     pending_buf: Vec<Remote<M::Payload>>,
-    /// Scratch batch headers reused by the zero-copy drain path (whole
-    /// batches land here straight from the rings; messages are applied in
-    /// place and the emptied vectors recycle through `msg_pool`).
+    /// Scratch batch headers reused by both drain paths (whole batches land
+    /// here straight from the rings; messages are applied in place, or
+    /// flattened into `pending_buf` under faults, and the emptied vectors
+    /// recycle through `msg_pool`).
     batch_bufs: Vec<Batch<M::Payload>>,
     /// Scratch vector reused by batched fossil collection (each KP's
     /// committed arena slots, freed in one run).
     fossil_slots: Vec<SlotRef>,
-    /// Effective optimism window in ticks past GVT: starts at the
-    /// [`max_lookahead`](EngineConfig::max_lookahead) ceiling and is moved
-    /// by [`next_window`] at every GVT round. `None` = unbounded. PE-local
-    /// and never checkpointed: it steers speculation only, so committed
-    /// output cannot depend on it.
-    window: Option<u64>,
-    /// `(events_processed, events_rolled_back)` when the last round ended;
-    /// the controller reads the deltas since.
-    window_marks: (u64, u64),
     /// Minimum receive time (ticks) over every remote message sent since
     /// this PE's last window hand-off. Reset to `u64::MAX` at each hand-off.
     /// Maintained unconditionally (one branchless `min` per remote send);
@@ -422,12 +383,13 @@ impl<'a, M: Model> PeRuntime<'a, M> {
     }
 
     /// True if the pending queue's head is executable: before the horizon
-    /// and, when optimism is throttled, within this PE's current window
-    /// past the last computed GVT.
+    /// and, when optimism is bounded, at most
+    /// [`max_lookahead`](EngineConfig::max_lookahead) past the last
+    /// computed GVT.
     #[inline]
     fn has_executable(&mut self) -> bool {
         match self.queue.peek_key() {
-            Some(k) if k.recv_time < self.config.end_time => match self.window {
+            Some(k) if k.recv_time < self.config.end_time => match self.config.max_lookahead {
                 Some(window) => {
                     let gvt = self.shared.gvt.read();
                     k.recv_time.0 <= gvt.saturating_add(window)
@@ -687,9 +649,9 @@ impl<'a, M: Model> PeRuntime<'a, M> {
         outcome
     }
 
-    /// Fault-filtered drain (chaos runs only): messages are flattened into
-    /// a scratch buffer so the filter can hold back, duplicate, and shuffle
-    /// across batch boundaries.
+    /// Fault-filtered drain (chaos runs only): landed batches are flattened
+    /// into a scratch buffer so the filter can hold back, duplicate, and
+    /// shuffle across batch boundaries.
     fn drain_inbox_filtered(&mut self, chaos: bool) -> Result<(), Halt> {
         let mut pending = std::mem::take(&mut self.pending_buf);
         debug_assert!(pending.is_empty());
@@ -702,7 +664,11 @@ impl<'a, M: Model> PeRuntime<'a, M> {
             let n = self
                 .shared
                 .fabric
-                .drain_to(self.id, &mut pending, &mut self.msg_pool);
+                .drain_batches(self.id, &mut self.batch_bufs);
+            for mut batch in self.batch_bufs.drain(..) {
+                pending.append(&mut batch);
+                self.msg_pool.put(batch);
+            }
             self.profiler.end(Phase::CommDrain, t0);
             if n > 0 {
                 self.shared.gvt.count_received(n);
@@ -1299,16 +1265,6 @@ impl<'a, M: Model> PeRuntime<'a, M> {
         let lvt = self.queue_min();
         self.stats.gvt_rounds += 1;
         self.round += 1;
-        if let (Some(window), Some(ceiling)) = (self.window, self.config.max_lookahead) {
-            let (processed, rolled_back) = self.window_marks;
-            self.window = Some(next_window(
-                window,
-                ceiling.min(VirtualTime::STEP),
-                ceiling,
-                self.stats.events_processed - processed,
-                self.stats.events_rolled_back - rolled_back,
-            ));
-        }
         let t0 = self.profiler.begin(Phase::Fossil);
         self.fossil_collect(VirtualTime(gvt));
         self.profiler.end(Phase::Fossil, t0);
@@ -1320,9 +1276,6 @@ impl<'a, M: Model> PeRuntime<'a, M> {
         self.sample_round(gvt, lvt);
         self.since_gvt = 0;
         self.idle_polls = 0;
-        // Marked last, so a checkpoint capture's own unwinding (above) is
-        // not read as rollback echo by the next round's controller.
-        self.window_marks = (self.stats.events_processed, self.stats.events_rolled_back);
         Ok(())
     }
 
@@ -1774,8 +1727,6 @@ pub(crate) fn run_parallel_inner<M: Model>(
                     pending_buf: Vec::new(),
                     batch_bufs: Vec::new(),
                     fossil_slots: Vec::new(),
-                    window: config.max_lookahead,
-                    window_marks: (stats.events_processed, stats.events_rolled_back),
                     stats,
                     send_min: u64::MAX,
                     audit: config
@@ -1904,64 +1855,4 @@ pub(crate) fn run_parallel_inner<M: Model>(
         }
     };
     lifecycle::teardown(config, wall, round, gvt, committed, outcome)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    const STEP: u64 = VirtualTime::STEP;
-
-    #[test]
-    fn window_halves_when_rollbacks_exceed_the_threshold() {
-        let over = 1000 / NARROW_ONE_IN + 1;
-        assert_eq!(next_window(8 * STEP, STEP, 8 * STEP, 1000, over), 4 * STEP);
-        assert_eq!(next_window(4 * STEP, STEP, 8 * STEP, 1000, 1000), 2 * STEP);
-        // More undone than processed (a deep rollback into earlier rounds).
-        assert_eq!(next_window(4 * STEP, STEP, 8 * STEP, 10, 500), 2 * STEP);
-    }
-
-    #[test]
-    fn window_recovers_slowly_over_calm_rounds() {
-        let grow = STEP / WIDEN_DIV;
-        assert_eq!(next_window(STEP, STEP, 8 * STEP, 1000, 0), STEP + grow);
-        // At the threshold exactly is still calm.
-        let at = 40 * NARROW_ONE_IN;
-        assert_eq!(next_window(STEP, STEP, 8 * STEP, at, 40), STEP + grow);
-        // A halving from 4 steps to 2 takes WIDEN_DIV calm rounds per step
-        // to win back.
-        let mut w = 2 * STEP;
-        let mut rounds = 0;
-        while w < 4 * STEP {
-            w = next_window(w, STEP, 8 * STEP, 1000, 0);
-            rounds += 1;
-        }
-        assert_eq!(rounds, (2 * STEP).div_ceil(grow));
-        assert!((2 * WIDEN_DIV..=2 * WIDEN_DIV + 1).contains(&rounds));
-    }
-
-    #[test]
-    fn window_holds_on_a_round_without_evidence() {
-        assert_eq!(next_window(3 * STEP, STEP, 8 * STEP, 0, 0), 3 * STEP);
-        // Undone work with nothing processed (a pure-rollback round) is
-        // not a ratio either.
-        assert_eq!(next_window(3 * STEP, STEP, 8 * STEP, 0, 50), 3 * STEP);
-    }
-
-    #[test]
-    fn window_stays_between_floor_and_ceiling() {
-        assert_eq!(next_window(STEP + 1, STEP, 8 * STEP, 100, 100), STEP);
-        assert_eq!(next_window(STEP, STEP, 8 * STEP, 100, 100), STEP);
-        assert_eq!(next_window(8 * STEP - 1, STEP, 8 * STEP, 100, 0), 8 * STEP);
-        assert_eq!(next_window(8 * STEP, STEP, 8 * STEP, 100, 0), 8 * STEP);
-        // A ceiling at or below one step leaves no room: the controller is
-        // inert whatever the signal (floor == ceiling).
-        for rolled_back in [0, 100] {
-            assert_eq!(next_window(STEP, STEP, STEP, 100, rolled_back), STEP);
-            assert_eq!(next_window(7, 7, 7, 100, rolled_back), 7);
-            assert_eq!(next_window(0, 0, 0, 100, rolled_back), 0);
-        }
-        // The widening step never rounds down to a standstill.
-        assert_eq!(next_window(3, 3, 100, 100, 0), 4);
-    }
 }

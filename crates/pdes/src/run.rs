@@ -5,7 +5,7 @@ use crate::config::EngineConfig;
 use crate::error::RunError;
 use crate::mapping::{LinearMapping, Mapping};
 use crate::model::Model;
-use crate::parallel::{self, SnapshotFn};
+use crate::parallel::{self, window, SnapshotFn};
 use crate::sequential;
 use crate::stats::RunResult;
 
@@ -78,18 +78,26 @@ impl<'a, M: Model> Run<'a, M> {
         self
     }
 
-    /// Start the run and wait for it. The config is validated once, a
+    /// Start the run and wait for it. The config is validated once, an
+    /// unset optimism bound becomes the model's epoch once (see
+    /// [`max_lookahead`](EngineConfig::max_lookahead)), a
     /// [`resume`](Run::resume) snapshot is restored once, and an instrumented
     /// run is registered once, however many attempts supervision takes.
-    pub fn go(self) -> Result<RunResult<M::Output>, RunError> {
+    pub fn go(mut self) -> Result<RunResult<M::Output>, RunError> {
         self.config.validate()?;
         let n_lps = self.model.n_lps();
         if n_lps == 0 {
             return Err(RunError::config("model has no LPs"));
         }
-        if self.sequential && self.snapshot_fn.is_some() {
+        if self.config.max_lookahead.is_none() {
+            self.config.max_lookahead = self.model.epoch().filter(|&e| e > 0);
+        }
+        if self.snapshot_fn.is_some()
+            && (self.sequential || window::window_epoch(self.model, &self.config).is_some())
+        {
             return Err(RunError::config(
-                "state saving is a rollback mechanism; the sequential kernel never rolls back",
+                "state saving is a rollback mechanism; this run never rolls back \
+                 (sequential kernel, or a bound within the model's epoch)",
             ));
         }
         let frame = self
@@ -133,8 +141,10 @@ where
     /// on rollback, never calling [`Model::reverse`]. This is the Georgia
     /// Tech Time Warp approach that ROSS's reverse computation replaced
     /// (paper Section 3.2.1), kept as the ablation baseline (experiment
-    /// E12). Optimistic kernel only: with [`sequential`](Run::sequential),
-    /// [`go`](Run::go) returns [`RunError::ConfigInvalid`].
+    /// E12). Time Warp only: with [`sequential`](Run::sequential), or on a
+    /// run that takes the rollback-free windowed arm (an optimism bound
+    /// within the model's epoch, which is the default for a model that
+    /// declares one), [`go`](Run::go) returns [`RunError::ConfigInvalid`].
     pub fn state_saving(mut self) -> Self {
         self.snapshot_fn = Some(|state, rng| (state.clone(), *rng));
         self

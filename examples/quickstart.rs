@@ -1,6 +1,8 @@
 //! Quickstart: simulate hot-potato routing on a 16×16 torus and print the
-//! headline statistics, on both the sequential and the optimistic parallel
-//! kernel (demonstrating they agree exactly).
+//! headline statistics, on both the sequential and the parallel kernel
+//! (demonstrating they agree exactly). The parallel run keeps the default
+//! optimism bound, the model's one-step epoch, so it is windowed and rolls
+//! nothing back.
 //!
 //! ```sh
 //! cargo run --release --example quickstart
@@ -28,7 +30,7 @@ fn main() -> Result<(), RunError> {
     report("sequential kernel", &seq);
 
     let par = model.run(&engine.clone().with_pes(2).with_kps(64)).go()?;
-    report("optimistic kernel (2 PEs, 64 KPs)", &par);
+    report("parallel kernel (2 PEs, 64 KPs, windowed)", &par);
 
     assert_eq!(
         seq.output, par.output,

@@ -193,17 +193,17 @@ stage "chaos: recovery matrix + both sync arms at release timing"
 # output to the uninterrupted sequential oracle across {default (ladder),
 # heap} schedulers x {1,2,4} PEs; torn snapshots must be rejected with
 # fallback.
-# window and comm_determinism run the Time Warp loop (delay + reorder
-# faults, 2 and 3 PEs), and conservative runs
-# the windowed arm (1/2/4 PEs, checkerboard, delay + duplicate + reorder,
-# supervised kill, mid-step resume), against the oracle at release-build
-# timing, where the debug auditor no longer slows the rings down.
-cargo test --release -q --test checkpoint --test window --test comm_determinism \
-    --test conservative
+# comm_determinism runs the Time Warp loop (delay + reorder faults, 2 and 3
+# PEs), and conservative runs the windowed arm (1/2/4 PEs, checkerboard,
+# delay + duplicate + reorder, supervised kill, mid-step resume) plus its
+# Time Warp leg (checkerboard past the epoch under delay + reorder, resumed
+# from its own snapshots), against the oracle at release-build timing,
+# where the debug auditor no longer slows the rings down.
+cargo test --release -q --test checkpoint --test comm_determinism --test conservative
 
 stage "alloc smoke: ~0 allocations per committed event"
-# Counting global allocator over a warm 4-PE run on the windowed arm (its
-# bound is the model's one-step epoch): total allocations (including
+# Counting global allocator over a warm 4-PE run on the windowed arm (the
+# default bound, the model's one-step epoch): total allocations (including
 # per-run setup) divided by committed events must stay under the 0.02
 # budget — about 2.5x today's 0.008, so one leaked allocation per event,
 # or one per scheduler bucket, fails.

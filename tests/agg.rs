@@ -55,21 +55,18 @@ fn instrumented_run_registers_streams_and_rolls_up() {
     let oracle = model.run(&dark).sequential().go().unwrap();
 
     // Time Warp (unbounded optimism), then the windowed arm (a one-step
-    // bound: the model's epoch).
-    for (run, lookahead) in [("run-00", None), ("run-01", Some(VirtualTime::STEP))] {
+    // bound: the model's epoch). The manifest records the bound each ran at.
+    for (run, lookahead) in [("run-00", u64::MAX), ("run-01", VirtualTime::STEP)] {
         let run_dir = dir.join(run);
-        let mut engine = dark.clone().with_obs(
+        let engine = dark.clone().with_lookahead(lookahead).with_obs(
             ObsConfig::default()
                 .with_metrics_path(run_dir.join("metrics.jsonl"))
                 .with_model_label("hotpotato-8x8"),
         );
-        if let Some(w) = lookahead {
-            engine = engine.with_lookahead(w);
-        }
         let par = model.run(&engine).go().unwrap();
         // Instrumentation must not perturb the committed history.
         assert_eq!(par.output, oracle.output, "{run}");
-        if lookahead.is_some() {
+        if lookahead == VirtualTime::STEP {
             assert_eq!(par.stats.total_rollbacks(), 0, "{run} ran windowed");
         }
 
@@ -79,7 +76,7 @@ fn instrumented_run_registers_streams_and_rolls_up() {
         assert_eq!(m.str_field("model"), Some("hotpotato-8x8"));
         assert_eq!(m.u64_field("n_pes"), Some(2));
         assert_eq!(m.u64_field("seed"), Some(42));
-        assert_eq!(m.u64_field("max_lookahead"), lookahead, "{run}");
+        assert_eq!(m.u64_field("max_lookahead"), Some(lookahead), "{run}");
 
         // The run rolls its own total into the closing pulse.
         let last = closing_pulse(&run_dir);
@@ -90,6 +87,30 @@ fn instrumented_run_registers_streams_and_rolls_up() {
             "{run}"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// With no bound set, a hot-potato run takes the model's one-step epoch as
+/// its bound: on 2 PEs it runs windowed, commits the oracle without a single
+/// rollback, and its manifest records the bound it resolved to.
+#[test]
+fn a_default_config_runs_at_the_models_epoch() {
+    let dir = scratch("default-bound");
+    let run_dir = dir.join("run-00");
+    let model = HotPotatoModel::torus(HotPotatoConfig::new(8, 32).with_injectors(0.4));
+    let engine = EngineConfig::new(model.end_time())
+        .with_seed(42)
+        .with_pes(2);
+    let oracle = model.run(&engine).sequential().go().unwrap();
+    let metrics = ObsConfig::default().with_metrics_path(run_dir.join("metrics.jsonl"));
+    let par = model.run(&engine.with_obs(metrics)).go().unwrap();
+    assert_eq!(par.output, oracle.output);
+    assert_eq!(par.stats.total_rollbacks(), 0);
+    assert_eq!(par.stats.events_processed, par.stats.events_committed);
+    assert_eq!(
+        manifest(&run_dir).u64_field("max_lookahead"),
+        Some(VirtualTime::STEP)
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -164,14 +185,14 @@ fn closing_heartbeat_carries_the_last_round() {
         of_pe.map(|s| s.round).max().unwrap()
     };
 
+    // The default bound is the model's epoch: a parallel run without one is
+    // windowed, and Time Warp is the explicit unbounded opt-in.
     for kernel in ["sequential", "parallel", "windowed"] {
         let sink = std::sync::Arc::new(MemorySink::new(1 << 20));
         let res = match kernel {
             "sequential" => model.run(&engine(&sink)).sequential().go(),
-            "parallel" => model.run(&engine(&sink)).go(),
-            _ => model
-                .run(&engine(&sink).with_lookahead(VirtualTime::STEP))
-                .go(),
+            "parallel" => model.run(&engine(&sink).with_lookahead(u64::MAX)).go(),
+            _ => model.run(&engine(&sink)).go(),
         }
         .unwrap();
         if kernel == "windowed" {
@@ -190,7 +211,7 @@ fn closing_heartbeat_carries_the_last_round() {
     let sink = std::sync::Arc::new(MemorySink::new(1 << 20));
     let plan = FaultPlan::new(1).with_kill(1, 900);
     let err = model
-        .run(&engine(&sink).with_faults(plan))
+        .run(&engine(&sink).with_lookahead(u64::MAX).with_faults(plan))
         .go()
         .unwrap_err();
     assert!(matches!(err, RunError::PePanic { .. }), "got {err}");

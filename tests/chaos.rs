@@ -11,11 +11,14 @@ fn model(n: u32, steps: u64) -> HotPotatoModel<topo::Torus> {
     HotPotatoModel::torus(HotPotatoConfig::new(n, steps))
 }
 
+/// Unbounded Time Warp: faults here must be rolled back, not waited out
+/// (without an explicit bound the model's epoch would make runs windowed).
 fn engine(m: &HotPotatoModel<topo::Torus>, seed: u64) -> EngineConfig {
     EngineConfig::new(m.end_time())
         .with_seed(seed)
         .with_gvt_interval(64)
         .with_batch(4)
+        .with_lookahead(u64::MAX)
 }
 
 /// Sweep fault seeds on one small config: every plan commits the sequential

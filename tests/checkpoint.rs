@@ -25,11 +25,13 @@ fn model(n: u32, steps: u64) -> HotPotatoModel<Torus> {
 }
 
 fn engine(seed: u64, dir: &std::path::Path) -> EngineConfig {
-    // Horizon is overwritten by the simulate_* wrappers from the model.
+    // Horizon is overwritten by `HotPotatoModel::run` from the model.
+    // Unbounded Time Warp, so snapshots capture real speculation.
     EngineConfig::new(pdes::VirtualTime::from_steps(1))
         .with_seed(seed)
         .with_gvt_interval(48)
         .with_batch(4)
+        .with_lookahead(u64::MAX)
         .with_checkpoint_every(2)
         .with_checkpoint_dir(dir)
 }

@@ -22,11 +22,13 @@ fn engine(m: &HotPotatoModel<topo::Torus>, seed: u64) -> EngineConfig {
     // Small GVT interval and batch so a short run still crosses many flush
     // boundaries and GVT quiescence rounds. Maximum observability (full
     // recorder + streaming sink) rides along to prove the comm-layer
-    // determinism guarantee holds while being watched.
+    // determinism guarantee holds while being watched. Unbounded Time Warp,
+    // so batching timing shifts a real rollback schedule.
     EngineConfig::new(m.end_time())
         .with_seed(seed)
         .with_gvt_interval(64)
         .with_batch(4)
+        .with_lookahead(u64::MAX)
         .with_obs(ObsConfig::verbose().with_sink(Arc::new(MemorySink::new(1024))))
 }
 

@@ -5,11 +5,15 @@
 //! with the auditor on, in its packet lineage, through a supervised crash,
 //! and when resumed from a Time Warp snapshot taken in the middle of a step
 //! — while processing each event exactly once.
+//!
+//! The Time Warp leg runs the same checkerboard past the epoch: an 8-step
+//! bound under delay + reorder faults rolls back, and must commit the same
+//! oracle, also when resumed from its own snapshots.
 
 use hotpotato::{HotPotatoConfig, HotPotatoModel, NetStats};
 use pdes::{
     list_snapshots, read_snapshot, EngineConfig, FaultPlan, KpId, LpId, Mapping, ObsConfig, PeId,
-    Run, RunResult, SupervisorPolicy, VirtualTime, TRACE_UNBOUNDED,
+    Run, RunError, RunResult, SupervisorPolicy, VirtualTime, TRACE_UNBOUNDED,
 };
 
 /// `(row + col) mod 2` picks the PE of an `n × n` grid (`n` even), so every
@@ -52,6 +56,16 @@ fn windowed(m: &HotPotatoModel<topo::Torus>, seed: u64) -> EngineConfig {
         .with_kps(8)
         .with_gvt_interval(64)
         .with_lookahead(VirtualTime::STEP)
+}
+
+/// Time Warp on the checkerboard: 2 PEs, an 8-step bound, every fourth
+/// remote message late and half the batches shuffled.
+fn time_warp(m: &HotPotatoModel<topo::Torus>, seed: u64) -> EngineConfig {
+    windowed(m, seed)
+        .with_pes(2)
+        .with_batch(4)
+        .with_lookahead(8 * VirtualTime::STEP)
+        .with_faults(FaultPlan::new(seed).with_delay(0.25).with_reorder(0.5))
 }
 
 /// The run committed the oracle, and did so without speculating: no
@@ -211,4 +225,65 @@ fn resuming_a_time_warp_snapshot_taken_mid_step_commits_the_oracle() {
     }
     let _ = std::fs::remove_dir_all(&dir);
     assert!(mid_step > 0, "no snapshot was captured mid-step");
+}
+
+/// A run at the default bound is windowed and never rolls back, so asking
+/// it for a rollback mechanism is refused, not silently ignored.
+#[test]
+fn state_saving_on_a_windowed_run_is_refused() {
+    let m = model(10);
+    let cfg = EngineConfig::new(m.end_time()).with_pes(2);
+    let err = m.run(&cfg).state_saving().go().unwrap_err();
+    assert!(matches!(err, RunError::ConfigInvalid { .. }), "{err}");
+}
+
+#[test]
+fn time_warp_past_the_epoch_commits_the_oracle_under_delay_and_reorder() {
+    let m = model(60);
+    for seed in [5u64, 6] {
+        let cfg = time_warp(&m, seed);
+        let oracle = m.run(&cfg).sequential().go().unwrap();
+        let run = Run::new(&m, &cfg).mapping(&CHECKER).go().unwrap();
+        assert_eq!(run.output, oracle.output, "seed={seed}");
+        assert_eq!(
+            run.stats.events_committed, oracle.stats.events_committed,
+            "seed={seed}"
+        );
+        // The run speculated past the epoch and paid for it.
+        assert!(
+            run.stats.events_rolled_back > 0 && run.stats.gvt_rounds > 8,
+            "seed={seed}: {:?}",
+            run.stats
+        );
+    }
+}
+
+#[test]
+fn time_warp_resumed_from_its_own_snapshots_commits_the_oracle() {
+    let m = model(40);
+    let dir = std::env::temp_dir().join(format!("pdes-conservative-tw-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = time_warp(&m, 9)
+        .with_checkpoint_every(100)
+        .with_checkpoint_dir(&dir);
+    let oracle = m
+        .run(&cfg.clone().without_checkpoints())
+        .sequential()
+        .go()
+        .unwrap();
+    let full = Run::new(&m, &cfg).mapping(&CHECKER).go().unwrap();
+    assert_eq!(full.output, oracle.output);
+    assert!(full.stats.events_rolled_back > 0, "{:?}", full.stats);
+    let snaps = list_snapshots(&dir);
+    assert!(!snaps.is_empty(), "no snapshot written");
+    for path in &snaps {
+        let snap = read_snapshot(path).unwrap();
+        let resumed = Run::new(&m, &cfg.clone().without_checkpoints())
+            .mapping(&CHECKER)
+            .resume(&snap)
+            .go()
+            .unwrap();
+        assert_eq!(resumed.output, oracle.output, "resumed from {path:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -15,9 +15,12 @@ use pdes::{EngineConfig, MemorySink, ObsConfig, SchedulerKind, VirtualTime};
 fn engine(model: &HotPotatoModel<topo::Torus>, seed: u64) -> EngineConfig {
     // Every determinism run executes at maximum observability — full flight
     // recorder plus a streaming sink — so these suites also prove that
-    // observation never perturbs committed output.
+    // observation never perturbs committed output. Parallel runs are
+    // unbounded Time Warp unless a test sets its own bound (the model's
+    // one-step epoch would otherwise make them windowed).
     EngineConfig::new(model.end_time())
         .with_seed(seed)
+        .with_lookahead(u64::MAX)
         .with_obs(ObsConfig::verbose().with_sink(Arc::new(MemorySink::new(1024))))
 }
 
@@ -118,7 +121,9 @@ fn mesh_topology_is_deterministic_too() {
 }
 
 fn engine_mesh(model: &HotPotatoModel<topo::Mesh>, seed: u64) -> EngineConfig {
-    EngineConfig::new(model.end_time()).with_seed(seed)
+    EngineConfig::new(model.end_time())
+        .with_seed(seed)
+        .with_lookahead(u64::MAX)
 }
 
 #[test]

@@ -16,12 +16,14 @@ fn model(n: u32, steps: u64) -> HotPotatoModel<topo::Torus> {
     HotPotatoModel::torus(HotPotatoConfig::new(n, steps))
 }
 
-/// Small GVT interval so even a short run crosses many sampling rounds.
+/// Small GVT interval so even a short run crosses many sampling rounds, on
+/// unbounded Time Warp so the rollback counters move.
 fn engine(m: &HotPotatoModel<topo::Torus>, seed: u64) -> EngineConfig {
     EngineConfig::new(m.end_time())
         .with_seed(seed)
         .with_gvt_interval(32)
         .with_batch(4)
+        .with_lookahead(u64::MAX)
 }
 
 /// A chaos storm under a deliberately tiny recorder (256 records) and

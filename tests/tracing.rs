@@ -14,11 +14,13 @@ fn model(n: u32, steps: u64) -> HotPotatoModel<topo::Torus> {
     HotPotatoModel::torus(HotPotatoConfig::new(n, steps))
 }
 
+/// Unbounded Time Warp, so speculated hops exist to be rolled back.
 fn engine(m: &HotPotatoModel<topo::Torus>, seed: u64) -> EngineConfig {
     EngineConfig::new(m.end_time())
         .with_seed(seed)
         .with_gvt_interval(32)
         .with_batch(4)
+        .with_lookahead(u64::MAX)
         .with_obs(ObsConfig::default().with_packet_trace(TRACE_UNBOUNDED))
 }
 
