@@ -1,16 +1,16 @@
-//! Allocation smoke test: the arena/zero-copy hot path must not allocate
-//! per committed event. A counting `#[global_allocator]` wraps the system
+//! Allocation smoke test: the zero-copy hot path must not allocate per
+//! committed event. A counting `#[global_allocator]` wraps the system
 //! allocator; after a warm-up run, a measured run's *total* allocation count
-//! — including all per-run setup (threads, arenas, rings, queue growth) —
-//! is divided by committed events. The run keeps the default optimism
-//! bound, the model's one-step epoch, so it takes the rollback-free
-//! windowed arm.
-//! Setup is most of the ~0.008 allocs/event this run makes; the
-//! steady-state event loop itself contributes ~0: payloads live in the
-//! preallocated arena, schedulers order `Copy` handles in recycled bucket
-//! vectors, and remote sends recycle pooled buffers. The 0.02 budget is tight
-//! on purpose: a leak of one small allocation per event (~171k/run on this
-//! workload) blows it 50×, and one per scheduler bucket (~23k/run) 7×.
+//! — including all per-run setup (threads, per-LP heaps, rings) — is divided
+//! by committed events. The run keeps the default optimism bound, the
+//! model's one-step epoch, so it takes the rollback-free windowed arm.
+//! Setup is most of the ~0.004 allocs/event this run makes; the
+//! steady-state event loop itself contributes ~0: payloads live inline in
+//! per-LP heaps (no arena, no ladder, no event id) that reach their size in
+//! the first steps and keep it, and remote sends recycle pooled buffers.
+//! The 0.02 budget is tight on purpose: a leak of one small allocation per
+//! event (~171k/run on this workload) blows it 50×, and one per LP heap
+//! per step (~25k/run) 7×.
 //!
 //! ```sh
 //! cargo run --release -p bench --bin alloc_smoke

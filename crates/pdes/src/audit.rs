@@ -38,7 +38,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::event::{Bitfield, ChildRef, EventId, EventKey, LpId, QueueEntry};
+use crate::event::{Bitfield, ChildRef, EventId, EventKey, LpId};
 use crate::model::{Emit, EventCtx, Model, ReverseCtx};
 use crate::obs::{FlightRecorder, ObsKind, ObsRecord};
 use crate::rng::{Clcg4, ReversibleRng};
@@ -227,27 +227,29 @@ pub(crate) fn lp_fingerprint<M: Model>(model: &M, lp: LpId, state: &M::State, rn
 /// — the probe must be invisible), run `reverse`, un-step the RNG, and
 /// require the fingerprint to return to its starting value. On success the
 /// LP, RNG, and payload are back exactly where they started, so the caller
-/// can execute `entry` for real; the pre-event fingerprint is returned for
-/// the rollback hash check. The probe's emits are discarded, never scheduled.
+/// can execute the event at `key` for real; the pre-event fingerprint is
+/// returned for the rollback hash check. The probe's emits are discarded,
+/// never scheduled. The violation names no event id: a caller whose events
+/// carry one fills it in.
 pub(crate) fn probe_reverse<M: Model>(
     model: &M,
     pe: usize,
     state: &mut M::State,
     rng: &mut Clcg4,
-    entry: &QueueEntry,
+    key: &EventKey,
     payload: &mut M::Payload,
     scratch: &mut Vec<Emit<M::Payload>>,
 ) -> Result<u64, AuditViolation> {
-    let lp = entry.key.dst;
+    let lp = key.dst;
     let before = lp_fingerprint(model, lp, state, rng);
     debug_assert!(scratch.is_empty());
     let mut bf = Bitfield::default();
     let rng_before = rng.call_count();
     let mut ctx = EventCtx {
         lp,
-        src: entry.key.src,
-        now: entry.key.recv_time,
-        send_time: entry.key.send_time,
+        src: key.src,
+        now: key.recv_time,
+        send_time: key.send_time,
         bf: &mut bf,
         rng,
         out: scratch,
@@ -259,7 +261,7 @@ pub(crate) fn probe_reverse<M: Model>(
     let rng_calls = rng.call_count() - rng_before;
     let rctx = ReverseCtx {
         lp,
-        now: entry.key.recv_time,
+        now: key.recv_time,
         bf,
     };
     model.reverse(state, payload, &rctx);
@@ -269,8 +271,8 @@ pub(crate) fn probe_reverse<M: Model>(
         return Err(AuditViolation {
             pe,
             lp: Some(lp),
-            id: Some(entry.id),
-            key: Some(entry.key),
+            id: None,
+            key: Some(*key),
             check: AuditCheck::ReverseReplay,
             detail: format!(
                 "handle+reverse left LP fingerprint {after:#018x}, expected {before:#018x} \

@@ -64,14 +64,7 @@ pub(crate) fn boot<M: Model>(
                     "init event to nonexistent LP {}",
                     emit.dst
                 );
-                let key = EventKey {
-                    recv_time: emit.recv_time,
-                    dst: emit.dst,
-                    tie: emit.tie,
-                    src: lp,
-                    send_time: VirtualTime::ZERO,
-                };
-                pending(key, emit.payload);
+                pending(emit.key(lp, VirtualTime::ZERO), emit.payload);
             }
             lps.push((lp, state, rng));
         }

@@ -39,6 +39,20 @@ pub struct Emit<P> {
     pub payload: P,
 }
 
+impl<P> Emit<P> {
+    /// The key of this emission, sent by LP `src` at `send_time`.
+    pub(crate) fn key(&self, src: LpId, send_time: VirtualTime) -> EventKey {
+        let (recv_time, dst, tie) = (self.recv_time, self.dst, self.tie);
+        EventKey {
+            recv_time,
+            dst,
+            tie,
+            src,
+            send_time,
+        }
+    }
+}
+
 /// Context passed to [`Model::handle`].
 pub struct EventCtx<'a, P> {
     pub(crate) lp: LpId,
@@ -308,6 +322,12 @@ pub trait Model: Send + Sync + 'static {
 
     /// Called when an event is irrevocably committed (passed by GVT).
     /// Default: nothing. Use for irreversible side effects (I/O).
+    ///
+    /// Every kernel calls it exactly once per committed event, and for each
+    /// LP in that LP's [`EventKey`] order. The order *across* LPs is
+    /// unspecified: the sequential kernel interleaves them by key, Time Warp
+    /// commits KP by KP at each GVT round, and the windowed arm commits LP
+    /// by LP within each window, on several PEs at once.
     fn commit(&self, _payload: &Self::Payload, _lp: LpId, _at: VirtualTime) {}
 
     /// The model's lookahead as an aligned epoch `E` in ticks: `Some(E)`

@@ -249,8 +249,11 @@ impl PacketTracer {
         }
     }
 
-    /// Sequential-kernel fast path: every executed event commits
-    /// immediately, so stamp and commit in one step.
+    /// Fast path of the sequential kernel and the windowed arm: every
+    /// executed event commits immediately, so stamp and commit in one step.
+    /// The capacity cap keeps the first hops in commit order, which is per
+    /// PE and, on the windowed arm, LP-major within each window — so a
+    /// capped windowed trace keeps other hops than a capped oracle one.
     pub(crate) fn commit_direct(&mut self, key: &EventKey, buf: &mut Vec<HopEmit>) {
         if !self.enabled() {
             buf.clear();

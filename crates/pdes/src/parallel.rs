@@ -30,15 +30,16 @@
 //! * **Windowed conservative arm** (`parallel/window.rs`) — when the model
 //!   declares an epoch, the optimism bound is within it (the default) and
 //!   the run is not barriered, none of the above runs: the PEs execute and
-//!   commit one epoch at a time and agree barrier-free where the next one
-//!   starts. Nothing is ever rolled back.
+//!   commit one epoch at a time, each LP from its own heap of inline
+//!   events, and agree barrier-free where the next one starts. Nothing is
+//!   ever rolled back.
 //!
-//! Determinism: because the commit order is the total [`EventKey`] order —
-//! logical fields only — a parallel run commits exactly the sequential
-//! order, and model outputs are bit-identical to the
-//! [`sequential`](crate::sequential) kernel's. That is the
-//! paper's repeatability result (Section 4.2.1), verified by this module's
-//! tests and the workspace integration tests.
+//! Determinism: Time Warp commits the total [`EventKey`] order — logical
+//! fields only — and the windowed arm each LP's share of it in that LP's
+//! order, so model outputs are bit-identical to the
+//! [`sequential`](crate::sequential) kernel's. That is the paper's
+//! repeatability result (Section 4.2.1), verified by this module's tests and
+//! the workspace integration tests.
 //!
 //! ## Transient duplicates
 //!
@@ -144,7 +145,7 @@ use crate::obs::trace::{HopEmit, PacketTrace, PacketTracer};
 use crate::obs::{FlightRecorder, ObsKind, ObsRecord, RoundSeries, RoundSnapshot, Telemetry};
 use crate::pool::VecPool;
 use crate::rng::{Clcg4, ReversibleRng};
-use crate::scheduler::EventQueue;
+use crate::scheduler::{lp_heaps::LpHeaps, EventQueue};
 use crate::stats::{EngineStats, RunResult};
 use crate::sync::AbortableBarrier;
 use crate::time::VirtualTime;
@@ -230,6 +231,26 @@ struct LpSlot<M: Model> {
     rng: Clcg4,
 }
 
+/// Where the payload of the event being executed lives: popped from the
+/// windowed arm's heap, or in this PE's arena (Time Warp). Lets the handler
+/// borrow an arena slot while it borrows the PE's other fields.
+enum PayloadAt<'p, P> {
+    Inline(&'p mut P),
+    Slot(SlotRef),
+}
+
+impl<'p, P> PayloadAt<'p, P> {
+    fn get<'a>(self, arena: &'a mut EventArena<P>) -> &'a mut P
+    where
+        'p: 'a,
+    {
+        match self {
+            PayloadAt::Inline(p) => p,
+            PayloadAt::Slot(s) => arena.get_mut(s),
+        }
+    }
+}
+
 /// Snapshot function for state-saving mode: clones `(state, rng)` before
 /// each event. `None` selects reverse computation.
 pub(crate) type SnapshotFn<M> =
@@ -252,11 +273,18 @@ struct PeRuntime<'a, M: Model> {
     my_lps: Vec<LpId>,
     /// Owned KPs.
     kps: Vec<Kp<M::State>>,
+    /// The epoch of a windowed run ([`window::window_epoch`]), `None` for
+    /// Time Warp: picks the arm and the pending set it keeps.
+    epoch: Option<u64>,
+    /// Time Warp's pending set (empty on the windowed arm).
     queue: Box<dyn EventQueue>,
-    /// Arena holding every live event payload on this PE (pending or
+    /// Arena holding every live event payload of a Time Warp PE (pending or
     /// processed-but-uncommitted); the scheduler and KP lists carry only
     /// [`QueueEntry`]/[`SlotRef`] handles into it.
     arena: EventArena<M::Payload>,
+    /// The windowed arm's pending set, payloads inline (empty under Time
+    /// Warp).
+    store: LpHeaps<M::Payload>,
     next_seq: u64,
     emit_buf: Vec<Emit<M::Payload>>,
     bf: Bitfield,
@@ -321,10 +349,8 @@ struct PeRuntime<'a, M: Model> {
     /// Scratch vector reused by batched fossil collection (each KP's
     /// committed arena slots, freed in one run).
     fossil_slots: Vec<SlotRef>,
-    /// Minimum receive time (ticks) over every remote message sent since
-    /// this PE's last window hand-off. Reset to `u64::MAX` at each hand-off.
-    /// Maintained unconditionally (one branchless `min` per remote send);
-    /// only the windowed arm reads it.
+    /// The windowed arm's minimum receive time (ticks) over every event
+    /// sent to another LP since this PE's last window hand-off.
     send_min: u64,
     /// Ids of remote positives/antis already delivered once — consulted only
     /// under fault injection, where the chaos layer can deliver twice.
@@ -424,29 +450,29 @@ impl<'a, M: Model> PeRuntime<'a, M> {
         Ok(())
     }
 
-    /// Move one payload into the arena, surfacing exhaustion as the
-    /// structured run failure (first failure wins, barrier aborted) instead
-    /// of a panic.
+    /// Fail the run on a full arena, or a full windowed store, of
+    /// `capacity` slots: a structured failure (first failure wins, barrier
+    /// aborted) instead of a panic.
+    fn exhausted(&self, capacity: u32) -> Halt {
+        let pe = self.id;
+        self.shared
+            .fail(FailureCause::ArenaExhausted { pe, capacity });
+        Halt
+    }
+
+    /// Move one payload into the arena.
     #[inline]
     fn insert_arena(&mut self, payload: M::Payload) -> Result<SlotRef, Halt> {
-        match self.arena.insert(payload) {
-            Ok(slot) => Ok(slot),
-            Err(full) => {
-                self.shared.fail(FailureCause::ArenaExhausted {
-                    pe: self.id,
-                    capacity: full.capacity,
-                });
-                Err(Halt)
-            }
-        }
+        let slot = self.arena.insert(payload);
+        slot.map_err(|full| self.exhausted(full.capacity))
     }
 
     /// The PE main loop: the windowed arm when the model's epoch allows it
-    /// ([`window::window_epoch`]), else Time Warp (both commit the identical
-    /// event order). Returns `Ok` once GVT has passed the horizon, `Err`
+    /// ([`window::window_epoch`]), else Time Warp (both commit what the
+    /// oracle commits). Returns `Ok` once GVT has passed the horizon, `Err`
     /// when the run was aborted by a failure on any PE.
     fn run(&mut self) -> Result<(), Halt> {
-        if let Some(epoch) = window::window_epoch(self.model, self.config) {
+        if let Some(epoch) = self.epoch {
             return self.run_windows(epoch);
         }
         loop {
@@ -521,13 +547,6 @@ impl<'a, M: Model> PeRuntime<'a, M> {
     /// buffer, and flush the buffer if it reached the batching threshold.
     #[inline]
     fn send_remote(&mut self, pe: PeId, msg: Remote<M::Payload>) {
-        // The windowed arm's report must cover this send until the next
-        // window boundary, so fold its receive time into the minimum.
-        let recv = match &msg {
-            Remote::Positive(ev) => ev.key.recv_time.0,
-            Remote::Anti(c, _) => c.key.recv_time.0,
-        };
-        self.send_min = self.send_min.min(recv);
         self.shared.gvt.count_sent();
         let buf = &mut self.out_bufs[pe];
         buf.push(msg);
@@ -714,8 +733,9 @@ impl<'a, M: Model> PeRuntime<'a, M> {
     }
 
     /// Apply one message from the inter-PE boundary. Positives land their
-    /// payload in the arena (the only copy the kernel ever makes of a
-    /// delivered payload); fails only on arena exhaustion.
+    /// payload in the arena, or in their LP's heap on the windowed arm (the
+    /// only copy the kernel ever makes of a delivered payload); fails only
+    /// on arena exhaustion.
     fn apply_remote(&mut self, msg: Remote<M::Payload>) -> Result<(), Halt> {
         match msg {
             Remote::Positive(ev) => {
@@ -724,6 +744,11 @@ impl<'a, M: Model> PeRuntime<'a, M> {
                     self.stats.duplicates_dropped += 1;
                     obs!(self, ObsKind::DropDuplicate, ev.id, ev.key);
                     return Ok(());
+                }
+                if self.epoch.is_some() {
+                    obs!(self, ObsKind::Enqueue, ev.id, ev.key);
+                    let li = self.local_lp_idx(ev.key.dst);
+                    return self.push_pending(li, ev.key, ev.payload);
                 }
                 if self.early_antis.remove(&ev.id).is_some() {
                     // Its anti-message got here first: they annihilate.
@@ -989,38 +1014,53 @@ impl<'a, M: Model> PeRuntime<'a, M> {
         id
     }
 
-    /// The auditor's reverse-replay probe of `entry` on its LP (local index
-    /// `li`, see [`audit::probe_reverse`]): the LP's fingerprint, or the
-    /// violation.
-    fn probe(&mut self, li: usize, entry: &QueueEntry) -> Result<u64, AuditViolation> {
+    /// The auditor's reverse-replay probe of the event at `key` on its LP
+    /// (local index `li`, see [`audit::probe_reverse`]): the LP's
+    /// fingerprint, or the violation.
+    fn probe(
+        &mut self,
+        li: usize,
+        key: &EventKey,
+        at: PayloadAt<'_, M::Payload>,
+    ) -> Result<u64, AuditViolation> {
         let slot = &mut self.slots[li];
-        let payload = self.arena.get_mut(entry.slot);
         let (state, rng, scratch) = (&mut slot.state, &mut slot.rng, &mut self.probe_buf);
-        audit::probe_reverse(self.model, self.id, state, rng, entry, payload, scratch)
+        let payload = at.get(&mut self.arena);
+        audit::probe_reverse(self.model, self.id, state, rng, key, payload, scratch)
     }
 
-    /// Run the model's forward handler for `entry` on its LP (local index
-    /// `li`) under a [`Phase::Execute`] scope: emissions land in `emits`,
-    /// branch bits in `bf`, traced hops in `hop_buf`.
+    /// Run the model's forward handler for the event at `key` on its LP
+    /// (local index `li`) under a [`Phase::Execute`] scope: emissions land
+    /// in the returned `emit_buf` (hand it back when drained), branch bits
+    /// in `bf`, traced hops in `hop_buf`.
     #[inline]
-    fn run_handler(&mut self, li: usize, entry: &QueueEntry, emits: &mut Vec<Emit<M::Payload>>) {
+    fn run_handler(
+        &mut self,
+        li: usize,
+        key: &EventKey,
+        at: PayloadAt<'_, M::Payload>,
+    ) -> Vec<Emit<M::Payload>> {
+        self.bf.clear();
+        let mut emits = std::mem::take(&mut self.emit_buf);
+        debug_assert!(emits.is_empty());
         let tracing = self.tracer.enabled();
         let t0 = self.profiler.begin(Phase::Execute);
         let slot = &mut self.slots[li];
         let mut ctx = EventCtx {
-            lp: entry.key.dst,
-            src: entry.key.src,
-            now: entry.key.recv_time,
-            send_time: entry.key.send_time,
+            lp: key.dst,
+            src: key.src,
+            now: key.recv_time,
+            send_time: key.send_time,
             bf: &mut self.bf,
             rng: &mut slot.rng,
-            out: emits,
+            out: &mut emits,
             obs: Some(&mut self.recorder),
             trace: tracing.then_some(&mut self.hop_buf),
         };
-        let payload = self.arena.get_mut(entry.slot);
-        self.model.handle(&mut slot.state, payload, &mut ctx);
+        self.model
+            .handle(&mut slot.state, at.get(&mut self.arena), &mut ctx);
         self.profiler.end(Phase::Execute, t0);
+        emits
     }
 
     /// Forward-execute one event and record it for possible rollback. The
@@ -1047,9 +1087,11 @@ impl<'a, M: Model> PeRuntime<'a, M> {
         } else if self.snapshot_fn.is_none() && self.config.audit_probe {
             // A failed probe fails the run; this PE halts at the end of the
             // batch, before the placeholder hash could ever be compared.
-            self.probe(li, &entry).map_or_else(
+            let at = PayloadAt::Slot(entry.slot);
+            self.probe(li, &entry.key, at).map_or_else(
                 |v| {
-                    self.audit_violation(v);
+                    let id = Some(entry.id);
+                    self.audit_violation(AuditViolation { id, ..v });
                     Some(0)
                 },
                 Some,
@@ -1058,15 +1100,11 @@ impl<'a, M: Model> PeRuntime<'a, M> {
             Some(self.audit_lp_fingerprint(li, lp))
         };
 
-        self.bf.clear();
-        let mut emits = std::mem::take(&mut self.emit_buf);
-        debug_assert!(emits.is_empty());
-
         let snapshot = self
             .snapshot_fn
             .map(|f| f(&self.slots[li].state, &self.slots[li].rng));
         let rng_before = self.slots[li].rng.call_count();
-        self.run_handler(li, &entry, &mut emits);
+        let mut emits = self.run_handler(li, &entry.key, PayloadAt::Slot(entry.slot));
         let rng_calls = u32::try_from(self.slots[li].rng.call_count() - rng_before)
             .expect("one handler call made 2^32 RNG draws");
 
@@ -1082,13 +1120,7 @@ impl<'a, M: Model> PeRuntime<'a, M> {
                 break;
             }
             let id = self.alloc_event_id();
-            let key = EventKey {
-                recv_time: emit.recv_time,
-                dst: emit.dst,
-                tie: emit.tie,
-                src: lp,
-                send_time: entry.key.recv_time,
-            };
+            let key = emit.key(lp, entry.key.recv_time);
             let child = ChildRef { id, key };
             children.push(child);
             if let Some(a) = self.audit.as_mut() {
@@ -1412,7 +1444,7 @@ impl<'a, M: Model> PeRuntime<'a, M> {
             wall_us: self.start_time.elapsed().as_micros() as u64,
             gvt,
             lvt,
-            queue_depth: self.queue.len() as u64,
+            queue_depth: (self.queue.len() + self.store.len()) as u64,
             uncommitted: self.kps.iter().map(|kp| kp.uncommitted() as u64).sum(),
             inbox_depth: self.shared.fabric.inbox_depth(self.id),
             ring_full_stalls: self.stats.ring_full_stalls,
@@ -1558,14 +1590,16 @@ impl<'a, M: Model> PeRuntime<'a, M> {
     fn diagnostics(&mut self) -> PeDiagnostics {
         self.stats.pool_hits = self.msg_pool.hits;
         self.stats.pool_misses = self.msg_pool.misses;
-        self.stats.arena_peak_slots = self.arena.peak() as u64;
+        // One of the two pending stores is empty: the arm's own one reports.
+        self.stats.arena_peak_slots = self.arena.peak().max(self.store.peak()) as u64;
+        let depth = self.queue.len() + self.store.len();
         self.stats.prof = self.profiler.profile().clone();
         self.stats.blame = self.blame.seal();
         PeDiagnostics {
             uncommitted: self.kps.iter().map(Kp::uncommitted).sum(),
             held_faults: self.faults.as_ref().map_or(0, |f| f.held()),
             deferred_antis: self.early_antis.len(),
-            ..PeDiagnostics::capture(self.id, self.queue.len(), &self.stats, &self.recorder)
+            ..PeDiagnostics::capture(self.id, depth, &self.stats, &self.recorder)
         }
     }
 }
@@ -1618,24 +1652,7 @@ pub(crate) fn run_parallel_inner<M: Model>(
     }
 
     // ---- Sequential setup phase (like ROSS's startup function). ----
-    // Every PE's share of the boot events, under fresh ids from a dedicated
-    // id space (origin pe = n_pes). The payloads enter the PE's arena on its
-    // own thread (the arena is thread-local).
-    let mut inits: Vec<Vec<Event<M::Payload>>> = (0..n_pes).map(|_| Vec::new()).collect();
-    let mut init_seq: u64 = 0;
-    let resumed = resume.is_some();
-    let frame = lifecycle::boot(model, config, resume, |key, payload| {
-        let id = EventId::new(n_pes, init_seq);
-        init_seq += 1;
-        inits[flat.pe_of_lp[key.dst as usize]].push(Event { id, key, payload });
-    });
-    let mut lps: Vec<Option<LpSlot<M>>> = frame
-        .lps
-        .into_iter()
-        .map(|(_, state, rng)| Some(LpSlot { state, rng }))
-        .collect();
-
-    // Partition LPs, KPs, states and init events among PEs.
+    // Partition LPs and KPs among PEs.
     let mut lp_local = vec![u32::MAX; n_lps as usize];
     let mut kp_local = vec![u32::MAX; flat.n_kps as usize];
     let per_pe_lps: Vec<Vec<LpId>> = (0..n_pes).map(|pe| flat.lps_of_pe(pe)).collect();
@@ -1651,6 +1668,40 @@ pub(crate) fn run_parallel_inner<M: Model>(
         }
     }
 
+    // Every PE's share of the boot events. A windowed run files them in
+    // their LPs' heaps here. Time Warp gives them fresh ids from a dedicated
+    // id space (origin pe = n_pes); their payloads enter the PE's arena on
+    // its own thread (the arena is thread-local).
+    let epoch = window::window_epoch(model, config);
+    let arena_capacity = config
+        .arena_slots
+        .unwrap_or(EventArena::<M::Payload>::DEFAULT_SLOTS);
+    let mut seeds: Vec<_> = (per_pe_lps.into_iter())
+        .map(|my_lps| {
+            let store = LpHeaps::new(epoch.map_or(0, |_| my_lps.len()), arena_capacity);
+            (my_lps, Vec::new(), store)
+        })
+        .collect();
+    let mut init_seq: u64 = 0;
+    let resumed = resume.is_some();
+    let frame = lifecycle::boot(model, config, resume, |key, payload| {
+        let seed = &mut seeds[flat.pe_of_lp[key.dst as usize]];
+        if epoch.is_some() {
+            // Over the cap, the PE fails the run before it starts.
+            seed.2
+                .push(lp_local[key.dst as usize] as usize, key, payload);
+            return;
+        }
+        let id = EventId::new(n_pes, init_seq);
+        init_seq += 1;
+        seed.1.push(Event { id, key, payload });
+    });
+    let mut lps: Vec<Option<LpSlot<M>>> = frame
+        .lps
+        .into_iter()
+        .map(|(_, state, rng)| Some(LpSlot { state, rng }))
+        .collect();
+
     let shared = Shared::<M::Payload> {
         fabric: CommFabric::new(n_pes),
         gvt: GvtRound::new(n_pes, frame.gvt),
@@ -1663,26 +1714,17 @@ pub(crate) fn run_parallel_inner<M: Model>(
         ckpt_parts: Mutex::new((0..n_pes).map(|_| None).collect()),
     };
 
-    // Deal every PE its LPs and its boot events.
-    let deal = |(my_lps, init): (Vec<LpId>, Vec<Event<M::Payload>>)| {
-        let slots: Vec<LpSlot<M>> = my_lps
-            .iter()
-            .map(|&lp| lps[lp as usize].take().expect("LP owned twice"))
-            .collect();
-        (my_lps, slots, init, config.scheduler.build())
-    };
-    let seeds: Vec<_> = per_pe_lps.into_iter().zip(inits).map(deal).collect();
-
     // ---- Parallel phase. ----
     let start = Instant::now();
-    let arena_capacity = config
-        .arena_slots
-        .unwrap_or(EventArena::<M::Payload>::DEFAULT_SLOTS);
     // A PE that dies outside its own panic containment reports nothing
     // (`None`, surfaced as `WorkerLost`) instead of panicking the join.
     let mut reports: Vec<Option<PeReport<M::Output>>> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(n_pes);
-        for (pe, (my_lps, slots, init, queue)) in seeds.into_iter().enumerate() {
+        for (pe, (my_lps, init, store)) in seeds.into_iter().enumerate() {
+            let slots: Vec<LpSlot<M>> = my_lps
+                .iter()
+                .map(|&lp| lps[lp as usize].take().expect("LP owned twice"))
+                .collect();
             let (shared, flat, base_stats) = (&shared, &flat, &frame.base_stats);
             let (lp_local, kp_local) = (&lp_local, &kp_local);
             let n_kps = per_pe_kps[pe].len();
@@ -1705,8 +1747,10 @@ pub(crate) fn run_parallel_inner<M: Model>(
                     slots,
                     my_lps,
                     kps: (0..n_kps).map(|_| Kp::new()).collect(),
-                    queue,
+                    epoch,
+                    queue: config.scheduler.build(),
                     arena: EventArena::new(arena_capacity),
+                    store,
                     next_seq: 0,
                     emit_buf: Vec::new(),
                     bf: Bitfield::default(),
@@ -1755,7 +1799,8 @@ pub(crate) fn run_parallel_inner<M: Model>(
                 // record the failure, abort the barrier so every sibling
                 // unwinds, and still report diagnostics for this PE.
                 let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<M::Output, Halt> {
-                    // Land the boot events in this PE's arena and queue.
+                    // Land Time Warp's boot events in this PE's arena and
+                    // queue.
                     for ev in init {
                         let slot = rt.insert_arena(ev.payload)?;
                         if let Some(a) = rt.audit.as_mut() {

@@ -1,25 +1,29 @@
 //! The windowed conservative arm of the PE loop (DESIGN.md, "The windowed
 //! arm"). A model that declares an epoch `E` ([`Model::epoch`]) sends other
 //! LPs nothing earlier than the end of the epoch it executes in, so once
-//! every message sent before a window opened has been delivered, each PE can
-//! execute and commit every local event below the end of the current epoch.
-//! Per window: execute and commit, flush, hand off
-//! `min(queue head, min receive time sent this window)` ([`WindowSync`]),
-//! wait for every PE while draining through the fault filter, drain once
-//! verbatim, and move to the epoch holding the agreed minimum — empty epochs
-//! are skipped (YAWNS). Nothing is undone, so no Time Warp record,
-//! anti-message, blame or fossil collection runs here. [`window_epoch`]
-//! decides once per run whether the arm applies.
+//! every message sent before a window opened has been delivered, each LP's
+//! inputs below the window's end are fixed but for its own self-sends, and
+//! it can commit them in its own key order, whatever the other LPs do. Per
+//! window: pop each local LP's heap ([`LpHeaps`]) below the window's end,
+//! flush, hand off the minimum of what is left and of what was sent to
+//! other LPs ([`WindowSync`]), wait for every PE while draining, drain once
+//! verbatim, and move to the epoch holding the agreed minimum (empty epochs
+//! are skipped, YAWNS). Nothing is undone, so no scheduler, arena, Time
+//! Warp record, anti-message, blame or fossil collection runs here, and
+//! only events on the wire carry an id.
+//!
+//! [`LpHeaps`]: crate::scheduler::lp_heaps::LpHeaps
 
 use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
 
-use super::{Halt, PeRuntime};
+use super::{Halt, PayloadAt, PeRuntime};
 use crate::config::EngineConfig;
 use crate::error::FailureCause;
-use crate::event::{Event, EventKey, QueueEntry, Remote};
+use crate::event::{Event, EventKey, InlineEntry, Remote};
 use crate::model::Model;
 use crate::obs::prof::Phase;
 use crate::obs::{ObsKind, ObsRecord};
+use crate::scheduler::lp_heaps::NO_ID;
 use crate::sync::{CachePadded, MAtomicU64};
 
 /// The epoch the run executes in windows of, or `None` for Time Warp: the
@@ -125,23 +129,40 @@ impl<M: Model> PeRuntime<'_, M> {
     /// The PE loop of the windowed arm (see the module docs). Returns `Ok`
     /// once the agreed minimum has passed the horizon.
     pub(super) fn run_windows(&mut self, epoch: u64) -> Result<(), Halt> {
+        // The boot events were filed before this thread started.
+        if let Some(a) = self.audit.as_mut() {
+            self.store.keys().for_each(|k| a.toggle_sched(NO_ID, k));
+        }
+        self.check_store()?;
+        let n = self.my_lps.len();
+        let mut heads = (0..n)
+            .map(|li| self.store.head(li))
+            .min()
+            .unwrap_or(u64::MAX);
         let end = self.config.end_time.0;
         let mut window = 0;
         loop {
             window += 1;
-            let report = self.queue_min().min(self.send_min);
+            let report = heads.min(self.send_min);
             let gvt = self.agree(window, report)?;
             self.end_window(gvt, report)?;
             if gvt >= end {
-                return self.audit_scheduler();
+                return self.audit_store();
             }
             let wend = (gvt / epoch).saturating_add(1).saturating_mul(epoch);
             let limit = wend.min(end);
-            while matches!(self.queue.peek_key(), Some(k) if k.recv_time.0 < limit) {
-                let t0 = self.profiler.begin(Phase::SchedPop);
-                let entry = self.queue.pop().expect("peeked event must pop");
-                self.profiler.end(Phase::SchedPop, t0);
-                self.execute_final(entry, wend)?;
+            heads = u64::MAX;
+            for li in 0..n {
+                loop {
+                    let t0 = self.profiler.begin(Phase::SchedPop);
+                    let entry = self.store.pop_below(li, limit);
+                    self.profiler.end(Phase::SchedPop, t0);
+                    let Some(InlineEntry { key, mut payload }) = entry else {
+                        break;
+                    };
+                    self.run_event(li, key, &mut payload, wend)?;
+                }
+                heads = heads.min(self.store.head(li));
             }
         }
     }
@@ -181,7 +202,7 @@ impl<M: Model> PeRuntime<'_, M> {
 
     /// Per-window bookkeeping: count the round, publish the agreed minimum
     /// as GVT (PE 0), keep the deadline armed, and once `gvt_interval`
-    /// events have committed since the last sample, audit the scheduler and
+    /// events have committed since the last sample, audit the store and
     /// sample a round.
     fn end_window(&mut self, gvt: u64, report: u64) -> Result<(), Halt> {
         self.stats.gvt_rounds += 1;
@@ -192,83 +213,104 @@ impl<M: Model> PeRuntime<'_, M> {
         if self.since_gvt >= self.config.gvt_interval {
             self.since_gvt = 0;
             self.round += 1;
-            self.audit_scheduler()?;
+            self.audit_store()?;
             self.sample_round(gvt, report);
             self.progress_line(gvt);
         }
         Ok(())
     }
 
-    /// Execute one event of the current window and commit it: handle, the
-    /// model's commit hook, free its slot, push or send the children. A
-    /// child for another LP that lands before `wend` breaks the model's
-    /// epoch promise and fails the run.
-    fn execute_final(&mut self, entry: QueueEntry, wend: u64) -> Result<(), Halt> {
+    /// Auditor: the store's recomputed content fingerprint must match the
+    /// push/pop mirror, and its invariant walk must pass.
+    fn audit_store(&mut self) -> Result<(), Halt> {
+        let check = self.audit.as_ref().map(|a| {
+            let (digest, walk) = self.store.audit(&self.my_lps);
+            a.check_scheduler(self.id, Some(digest), walk)
+        });
+        self.audit_gate(check)
+    }
+
+    /// File a pending event under local LP `li`.
+    pub(super) fn push_pending(
+        &mut self,
+        li: usize,
+        key: EventKey,
+        payload: M::Payload,
+    ) -> Result<(), Halt> {
         if let Some(a) = self.audit.as_mut() {
-            a.toggle_sched(entry.id, &entry.key);
+            a.toggle_sched(NO_ID, &key);
         }
-        obs!(self, ObsKind::Execute, entry.id, entry.key);
-        let lp = entry.key.dst;
-        let li = self.local_lp_idx(lp);
+        let t0 = self.profiler.begin(Phase::SchedPush);
+        self.store.push(li, key, payload);
+        self.profiler.end(Phase::SchedPush, t0);
+        self.check_store()
+    }
+
+    /// The arena's contract on the store: fail the run once it holds more
+    /// than `arena_slots` events.
+    fn check_store(&self) -> Result<(), Halt> {
+        match self.store.over_cap() {
+            Some(cap) => Err(self.exhausted(cap)),
+            None => Ok(()),
+        }
+    }
+
+    /// Execute one event of the current window on local LP `li` and commit
+    /// it: handle, the model's commit hook, then file or send the children.
+    /// A self-send joins the LP's own heap (it runs in this visit if it is
+    /// due in the window); a child for another LP that lands before `wend`
+    /// breaks the model's epoch promise and fails the run.
+    fn run_event(
+        &mut self,
+        li: usize,
+        key: EventKey,
+        payload: &mut M::Payload,
+        wend: u64,
+    ) -> Result<(), Halt> {
+        if let Some(a) = self.audit.as_mut() {
+            a.toggle_sched(NO_ID, &key);
+        }
+        obs!(self, ObsKind::Execute, NO_ID, key);
         if self.audit.is_some() && self.config.audit_probe {
-            if let Err(v) = self.probe(li, &entry) {
+            if let Err(v) = self.probe(li, &key, PayloadAt::Inline(payload)) {
                 self.audit_violation(v);
                 return Err(Halt);
             }
         }
-        self.bf.clear();
-        let mut emits = std::mem::take(&mut self.emit_buf);
-        self.run_handler(li, &entry, &mut emits);
-        self.tracer.commit_direct(&entry.key, &mut self.hop_buf);
-        self.model
-            .commit(self.arena.get(entry.slot), lp, entry.key.recv_time);
-        let _ = self.arena.free(entry.slot);
-
-        let mut outcome = Ok(());
+        let mut emits = self.run_handler(li, &key, PayloadAt::Inline(payload));
+        self.tracer.commit_direct(&key, &mut self.hop_buf);
+        let lp = key.dst;
+        self.model.commit(payload, lp, key.recv_time);
         for emit in emits.drain(..) {
-            let key = EventKey {
-                recv_time: emit.recv_time,
-                dst: emit.dst,
-                tie: emit.tie,
-                src: lp,
-                send_time: entry.key.recv_time,
-            };
-            if emit.dst != lp && emit.recv_time.0 < wend {
-                self.shared.fail(FailureCause::EpochViolated {
-                    lp,
-                    send_time: key.send_time.0,
-                    recv_time: key.recv_time.0,
-                    epoch_end: wend,
-                });
-                outcome = Err(Halt);
-                break;
+            let child = emit.key(lp, key.recv_time);
+            if emit.dst != lp {
+                if child.recv_time.0 < wend {
+                    self.shared.fail(FailureCause::EpochViolated {
+                        lp,
+                        send_time: key.recv_time.0,
+                        recv_time: child.recv_time.0,
+                        epoch_end: wend,
+                    });
+                    return Err(Halt);
+                }
+                // The report covers what this PE sent until the next
+                // hand-off, and a child filed under an LP visited earlier in
+                // this window missed that LP's head.
+                self.send_min = self.send_min.min(child.recv_time.0);
             }
-            let id = self.alloc_event_id();
-            obs!(self, ObsKind::Emit, id, key, emit.dst);
             let pe = self.flat.pe_of_lp[emit.dst as usize];
             if pe == self.id {
-                match self.insert_arena(emit.payload) {
-                    Ok(slot) => {
-                        if let Some(a) = self.audit.as_mut() {
-                            a.toggle_sched(id, &key);
-                        }
-                        let t0 = self.profiler.begin(Phase::SchedPush);
-                        self.queue.push(QueueEntry { key, id, slot });
-                        self.profiler.end(Phase::SchedPush, t0);
-                    }
-                    Err(h) => {
-                        outcome = Err(h);
-                        break;
-                    }
-                }
+                obs!(self, ObsKind::Emit, NO_ID, child, emit.dst);
+                self.push_pending(self.local_lp_idx(emit.dst), child, emit.payload)?;
             } else {
+                let id = self.alloc_event_id();
+                obs!(self, ObsKind::Emit, id, child, emit.dst);
                 self.stats.remote_events += 1;
-                let payload = emit.payload;
+                let (key, payload) = (child, emit.payload);
                 self.send_remote(pe, Remote::Positive(Event { id, key, payload }));
             }
         }
         self.emit_buf = emits;
-        outcome?;
         self.stats.events_processed += 1;
         self.stats.events_committed += 1;
         self.since_gvt += 1;
@@ -279,6 +321,7 @@ impl<M: Model> PeRuntime<'_, M> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Mutex;
     use std::time::Duration;
 
     use super::*;
@@ -286,21 +329,34 @@ mod tests {
     use crate::error::RunError;
     use crate::event::LpId;
     use crate::model::{EventCtx, InitCtx, Merge, ReverseCtx};
+    use crate::obs::ObsConfig;
     use crate::rng::ReversibleRng;
     use crate::time::VirtualTime;
     use crate::Run;
 
     const STEP: u64 = VirtualTime::STEP;
 
-    /// LP `i` passes a token to LP `i + 1` every `delay` ticks, folding one
-    /// draw per event into a hash (the payload saves the old hash for
-    /// `reverse`); it claims `epoch`, and `panic_at` names an LP and a step
-    /// at which it panics.
+    /// LP `i` passes a token to LP `i + 1` every `delay` ticks, folding
+    /// the event's kind and one draw per event into a hash (the payload is
+    /// `[kind, old hash]`, the old hash saved for `reverse`); it claims
+    /// `epoch`, and `panic_at` names an LP and a step at which it panics.
     struct Ring {
         n: u32,
         delay: u64,
         epoch: Option<u64>,
         panic_at: Option<(LpId, u64)>,
+        /// A second token one tick behind the first (kind 1, tie 20); the
+        /// first token sends its LP a child one tick ahead (kind 2, tie 1),
+        /// due at the same time as the second token but sorting before it.
+        same_time: bool,
+        /// The first token also sends its LP an event three epochs ahead
+        /// (kind 3), so events wait in a heap across windows.
+        ahead: bool,
+        /// Tokens travel from LP `i` to LP `i - 1`, which a PE visits first,
+        /// and LP 0 keeps them.
+        down: bool,
+        /// Every commit as `(lp, time, kind)`, in call order.
+        commits: Mutex<Vec<(LpId, u64, u64)>>,
     }
 
     #[derive(Debug, Default, PartialEq)]
@@ -315,33 +371,54 @@ mod tests {
 
     impl Model for Ring {
         type State = (u64, u64);
-        type Payload = u64;
+        type Payload = [u64; 2];
         type Output = Total;
 
         fn n_lps(&self) -> u32 {
             self.n
         }
 
-        fn init(&self, lp: LpId, ctx: &mut InitCtx<'_, u64>) -> (u64, u64) {
-            ctx.schedule_at(lp, VirtualTime::from_steps(1), 0, 0);
+        fn init(&self, lp: LpId, ctx: &mut InitCtx<'_, [u64; 2]>) -> (u64, u64) {
+            ctx.schedule_at(lp, VirtualTime::from_steps(1), 10, [0, 0]);
+            if self.same_time {
+                ctx.schedule_at(lp, VirtualTime::from_parts(1, 1), 20, [1, 0]);
+            }
             (0, 0)
         }
 
-        fn handle(&self, s: &mut (u64, u64), saved: &mut u64, ctx: &mut EventCtx<'_, u64>) {
+        fn handle(&self, s: &mut (u64, u64), p: &mut [u64; 2], ctx: &mut EventCtx<'_, [u64; 2]>) {
             if self.panic_at == Some((ctx.lp(), ctx.now().step())) {
                 panic!("ring LP {} gives up", ctx.lp());
             }
             s.0 += 1;
-            *saved = s.1;
-            s.1 =
-                s.1.wrapping_mul(31)
-                    .wrapping_add(ctx.rng().integer(0, 1000));
-            ctx.schedule((ctx.lp() + 1) % self.n, self.delay, 0, 0);
+            p[1] = s.1;
+            let draw = ctx.rng().integer(0, 1000);
+            s.1 = s.1.wrapping_mul(31).wrapping_add(draw ^ (p[0] << 20));
+            if p[0] > 1 {
+                return;
+            }
+            let next = match self.down {
+                true => ctx.lp().checked_sub(1),
+                false => Some((ctx.lp() + 1) % self.n),
+            };
+            if let Some(next) = next {
+                ctx.schedule(next, self.delay, 10 * (p[0] + 1), [p[0], 0]);
+            }
+            if p[0] == 0 && self.same_time {
+                ctx.schedule_self(1, 1, [2, 0]);
+            }
+            if p[0] == 0 && self.ahead {
+                ctx.schedule_self(3 * self.epoch.unwrap_or(STEP), 30, [3, 0]);
+            }
         }
 
-        fn reverse(&self, s: &mut (u64, u64), saved: &mut u64, _: &ReverseCtx) {
+        fn reverse(&self, s: &mut (u64, u64), p: &mut [u64; 2], _: &ReverseCtx) {
             s.0 -= 1;
-            s.1 = *saved;
+            s.1 = p[1];
+        }
+
+        fn commit(&self, p: &[u64; 2], lp: LpId, at: VirtualTime) {
+            self.commits.lock().unwrap().push((lp, at.0, p[0]));
         }
 
         fn epoch(&self) -> Option<u64> {
@@ -359,7 +436,28 @@ mod tests {
             delay,
             epoch,
             panic_at: None,
+            same_time: false,
+            ahead: false,
+            down: false,
+            commits: Mutex::new(Vec::new()),
         }
+    }
+
+    /// A ring with every option on.
+    fn busy_ring() -> Ring {
+        Ring {
+            same_time: true,
+            ahead: true,
+            ..ring(STEP, Some(STEP))
+        }
+    }
+
+    /// Take the commits `m` recorded so far, grouped by LP, each LP's in
+    /// call order.
+    fn commit_log(m: &Ring) -> Vec<(LpId, u64, u64)> {
+        let mut log = std::mem::take(&mut *m.commits.lock().unwrap());
+        log.sort_by_key(|c| c.0);
+        log
     }
 
     fn windowed() -> EngineConfig {
@@ -455,5 +553,95 @@ mod tests {
         let cfg = windowed().with_deadline(Duration::ZERO);
         let err = Run::new(&m, &cfg).go().unwrap_err();
         assert!(matches!(err, RunError::GvtStalled { .. }), "{err}");
+    }
+
+    #[test]
+    fn same_time_self_sends_and_events_waiting_across_windows_keep_the_oracle() {
+        let m = busy_ring();
+        let cfg = windowed();
+        let seq = Run::new(&m, &cfg).sequential().go().unwrap();
+        for pes in [1, 2] {
+            let par = Run::new(&m, &cfg.clone().with_pes(pes)).go().unwrap();
+            assert_eq!(par.output, seq.output, "{pes} PEs");
+            assert_eq!(par.stats.events_committed, seq.stats.events_committed);
+            assert_eq!(par.stats.events_processed, par.stats.events_committed);
+            assert_eq!(par.stats.total_rollbacks(), 0, "{pes} PEs");
+        }
+    }
+
+    /// On one PE, every token passed down lands in an LP the window already
+    /// visited, after its head was folded into the report; the report must
+    /// still hold the next window at the tokens' epoch.
+    #[test]
+    fn a_child_for_an_lp_visited_earlier_holds_the_next_window() {
+        let m = Ring {
+            down: true,
+            ..ring(STEP, Some(STEP))
+        };
+        let cfg = windowed();
+        let seq = Run::new(&m, &cfg).sequential().go().unwrap();
+        for pes in [1, 2] {
+            let par = Run::new(&m, &cfg.clone().with_pes(pes)).go().unwrap();
+            assert_eq!(par.output, seq.output, "{pes} PEs");
+            assert_eq!(par.stats.events_committed, seq.stats.events_committed);
+        }
+    }
+
+    /// `Model::commit` runs once per committed event in each LP's key
+    /// order, on the windowed arm and on Time Warp alike.
+    #[test]
+    fn each_lp_commits_in_the_oracle_order_on_both_arms() {
+        let m = busy_ring();
+        Run::new(&m, &windowed()).sequential().go().unwrap();
+        let oracle = commit_log(&m);
+        assert_eq!(oracle.len(), 16 * 4 * 39 - 16 * 3, "every kind commits");
+        let time_warp = windowed().with_lookahead(u64::MAX);
+        for (arm, cfg) in [("windowed", windowed()), ("time warp", time_warp)] {
+            Run::new(&m, &cfg).go().unwrap();
+            assert!(commit_log(&m) == oracle, "{arm}: commit order diverged");
+        }
+    }
+
+    /// A post-mortem after a handler panic still sees each arm's pending
+    /// store, and a windowed dump shows remote deliveries under their wire
+    /// ids.
+    #[test]
+    fn a_panic_post_mortem_sees_the_store_and_the_deliveries() {
+        let cfg = windowed().with_obs(ObsConfig::verbose());
+        for epoch in [Some(STEP), None] {
+            let m = Ring {
+                panic_at: Some((0, 7)),
+                ..ring(STEP, epoch)
+            };
+            let Err(RunError::PePanic { diagnostics, .. }) = Run::new(&m, &cfg).go() else {
+                panic!("{epoch:?}: expected PePanic");
+            };
+            let pe0 = &diagnostics.pes[0];
+            assert!(pe0.stats.arena_peak_slots > 0, "{epoch:?}: {:?}", pe0.stats);
+            let delivery = |l: &String| l.starts_with("Enqueue") && !l.contains("EventId(0)");
+            assert!(
+                pe0.trace.iter().any(delivery),
+                "{epoch:?}: {:#?}",
+                pe0.trace
+            );
+        }
+    }
+
+    /// The store holds the arena's cap, reports its high-water mark, and
+    /// a sampled round sees what it holds.
+    #[test]
+    fn the_store_keeps_the_arena_contract() {
+        let m = busy_ring();
+        // Boot files two tokens per LP, 16 per PE: over a cap of 8 before
+        // the first window, and over 24 once the events sent ahead pile up.
+        for cap in [8, 24] {
+            match Run::new(&m, &windowed().with_arena_slots(cap)).go() {
+                Err(RunError::ArenaExhausted { capacity, .. }) => assert_eq!(capacity, cap),
+                other => panic!("cap {cap}: expected ArenaExhausted, got {other:?}"),
+            }
+        }
+        let par = Run::new(&m, &windowed().with_gvt_interval(8)).go().unwrap();
+        assert!(par.stats.arena_peak_slots > 24, "{:?}", par.stats);
+        assert!(par.telemetry.rounds.iter().any(|r| r.queue_depth > 0));
     }
 }

@@ -13,6 +13,9 @@
 //! * [`SplayQueue`] — top-down splay tree (what ROSS ships); exact deletion.
 //! * [`CalendarQueue`] — Brown's calendar queue; amortized O(1) when tuned.
 //!
+//! The windowed arm, which never rolls back, keeps a fifth set instead of
+//! any of these: one small heap of inline events per LP (`lp_heaps`).
+//!
 //! Since the arena split (`pdes::arena`), schedulers order small
 //! [`QueueEntry`] records — a frozen `(EventKey, EventId)` plus the arena
 //! [`SlotRef`](crate::arena::SlotRef) holding the payload — instead of
@@ -27,6 +30,7 @@
 mod calendar;
 mod heap;
 mod ladder;
+pub(crate) mod lp_heaps;
 mod splay;
 
 pub use calendar::CalendarQueue;

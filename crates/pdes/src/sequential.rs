@@ -18,7 +18,7 @@
 use std::time::Instant;
 
 use crate::arena::EventArena;
-use crate::audit::{self, AuditState};
+use crate::audit::{self, AuditState, AuditViolation};
 use crate::ckpt::{self, BootFrame};
 use crate::config::EngineConfig;
 use crate::error::{FailureCause, PeDiagnostics, RunDiagnostics, RunError};
@@ -141,7 +141,11 @@ pub(crate) fn run_sequential_inner<M: Model>(
             // execution and keeps only the hash-mirror checks.
             if pending.audit.is_some() && config.audit_probe {
                 let payload = pending.arena.get_mut(entry.slot);
-                audit::probe_reverse(model, 0, state, rng, &entry, payload, &mut probe_buf)?;
+                audit::probe_reverse(model, 0, state, rng, &entry.key, payload, &mut probe_buf)
+                    .map_err(|v| AuditViolation {
+                        id: Some(entry.id),
+                        ..v
+                    })?;
             }
 
             bf.clear();
@@ -170,13 +174,7 @@ pub(crate) fn run_sequential_inner<M: Model>(
             let t0 = profiler.begin(Phase::SchedPush);
             for emit in emits.drain(..) {
                 debug_assert!(emit.dst < n_lps, "scheduled to nonexistent LP {}", emit.dst);
-                let key = EventKey {
-                    recv_time: emit.recv_time,
-                    dst: emit.dst,
-                    tie: emit.tie,
-                    src: lp,
-                    send_time: entry.key.recv_time,
-                };
+                let key = emit.key(lp, entry.key.recv_time);
                 let id = pending.push(key, emit.payload)?;
                 if recorder.enabled() {
                     recorder.record(ObsRecord::event(ObsKind::Enqueue, id, key, 0));
