@@ -1,16 +1,18 @@
 //! Allocation smoke test: the zero-copy hot path must not allocate per
 //! committed event. A counting `#[global_allocator]` wraps the system
 //! allocator; after a warm-up run, a measured run's *total* allocation count
-//! — including all per-run setup (threads, per-LP heaps, rings) — is divided
-//! by committed events. The run keeps the default optimism bound, the
-//! model's one-step epoch, so it takes the rollback-free windowed arm.
+//! — including all per-run setup (threads, per-LP inboxes, rings) — is
+//! divided by committed events. The run keeps the default optimism bound,
+//! the model's one-step epoch, so it takes the rollback-free windowed arm.
 //! Setup is most of the ~0.004 allocs/event this run makes; the
 //! steady-state event loop itself contributes ~0: payloads live inline in
-//! per-LP heaps (no arena, no ladder, no event id) that reach their size in
-//! the first steps and keep it, and remote sends recycle pooled buffers.
-//! The 0.02 budget is tight on purpose: a leak of one small allocation per
-//! event (~171k/run on this workload) blows it 50×, and one per LP heap
-//! per step (~25k/run) 7×.
+//! per-LP inboxes and one run buffer per PE (no arena, no ladder, no event
+//! id). Opening a visit swaps the LP's inbox buffer with the empty run's,
+//! so the buffers circulate among the LPs, reach their size in the first
+//! steps and keep it, and remote sends recycle pooled buffers. The 0.02
+//! budget is tight on purpose: a leak of one small allocation per event
+//! (~171k/run on this workload) blows it 50×, and one per LP inbox per
+//! step (~25k/run) 7×.
 //!
 //! ```sh
 //! cargo run --release -p bench --bin alloc_smoke

@@ -142,37 +142,15 @@ pub struct QueueEntry {
     pub slot: SlotRef,
 }
 
-/// What the windowed arm's per-LP heaps hold: a pending event's key and its
-/// payload inline, with no id and no arena slot (a rollback-free run never
-/// cancels, so nothing needs either). Ordered by key alone, *reversed*, so a
-/// [`BinaryHeap`](std::collections::BinaryHeap) pops the smallest key first;
-/// keys are unique on a rollback-free run.
+/// What the windowed arm's per-LP inboxes hold: a pending event's key and
+/// its payload inline, with no id and no arena slot (a rollback-free run
+/// never cancels, so nothing needs either; its keys are unique).
 #[derive(Debug)]
 pub(crate) struct InlineEntry<P> {
     /// Processing-order key.
     pub(crate) key: EventKey,
     /// Model message content, mutated in place by the forward handler.
     pub(crate) payload: P,
-}
-
-impl<P> PartialEq for InlineEntry<P> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-
-impl<P> Eq for InlineEntry<P> {}
-
-impl<P> PartialOrd for InlineEntry<P> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<P> Ord for InlineEntry<P> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.key.cmp(&self.key)
-    }
 }
 
 /// Reference to a child event sent by a processed event — everything a
@@ -270,26 +248,6 @@ mod tests {
         assert!(k(1, 9, 9) < k(2, 0, 0));
         assert!(k(1, 1, 5) < k(1, 2, 0));
         assert!(k(1, 1, 5) < k(1, 1, 6));
-    }
-
-    #[test]
-    fn inline_entries_pop_smallest_key_first() {
-        let k = |t: u64, tie: u64| EventKey {
-            recv_time: VirtualTime(t),
-            dst: 0,
-            tie,
-            src: 0,
-            send_time: VirtualTime::ZERO,
-        };
-        let mut heap = std::collections::BinaryHeap::new();
-        for (t, tie) in [(2, 0), (1, 5), (1, 2), (3, 0)] {
-            heap.push(InlineEntry {
-                key: k(t, tie),
-                payload: (),
-            });
-        }
-        let order: Vec<_> = std::iter::from_fn(|| heap.pop().map(|e| e.key)).collect();
-        assert_eq!(order, [k(1, 2), k(1, 5), k(2, 0), k(3, 0)]);
     }
 
     #[test]

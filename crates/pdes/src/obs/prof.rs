@@ -35,11 +35,14 @@ use std::time::Instant;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Phase {
-    /// Popping the next executable event off the pending queue.
+    /// Popping the next executable event off the pending queue; on the
+    /// windowed arm, opening an LP's visit (partitioning and sorting its
+    /// due events), once per LP with events due.
     SchedPop = 0,
     /// Forward event execution (`Model::handle` only).
     Execute,
-    /// Pushing one event into the pending queue (enqueue or requeue).
+    /// Pushing one event into the pending queue (enqueue or requeue); on
+    /// the windowed arm, filing it in an LP's inbox or the open run.
     SchedPush,
     /// Undoing one processed event: snapshot restore, or reverse handler +
     /// RNG rewind.

@@ -30,7 +30,7 @@
 //! * **Windowed conservative arm** (`parallel/window.rs`) — when the model
 //!   declares an epoch, the optimism bound is within it (the default) and
 //!   the run is not barriered, none of the above runs: the PEs execute and
-//!   commit one epoch at a time, each LP from its own heap of inline
+//!   commit one epoch at a time, each LP from its own inbox of inline
 //!   events, and agree barrier-free where the next one starts. Nothing is
 //!   ever rolled back.
 //!
@@ -145,7 +145,7 @@ use crate::obs::trace::{HopEmit, PacketTrace, PacketTracer};
 use crate::obs::{FlightRecorder, ObsKind, ObsRecord, RoundSeries, RoundSnapshot, Telemetry};
 use crate::pool::VecPool;
 use crate::rng::{Clcg4, ReversibleRng};
-use crate::scheduler::{lp_heaps::LpHeaps, EventQueue};
+use crate::scheduler::{lp_inbox::LpInboxes, EventQueue};
 use crate::stats::{EngineStats, RunResult};
 use crate::sync::AbortableBarrier;
 use crate::time::VirtualTime;
@@ -232,7 +232,7 @@ struct LpSlot<M: Model> {
 }
 
 /// Where the payload of the event being executed lives: popped from the
-/// windowed arm's heap, or in this PE's arena (Time Warp). Lets the handler
+/// windowed arm's run, or in this PE's arena (Time Warp). Lets the handler
 /// borrow an arena slot while it borrows the PE's other fields.
 enum PayloadAt<'p, P> {
     Inline(&'p mut P),
@@ -284,7 +284,7 @@ struct PeRuntime<'a, M: Model> {
     arena: EventArena<M::Payload>,
     /// The windowed arm's pending set, payloads inline (empty under Time
     /// Warp).
-    store: LpHeaps<M::Payload>,
+    store: LpInboxes<M::Payload>,
     next_seq: u64,
     emit_buf: Vec<Emit<M::Payload>>,
     bf: Bitfield,
@@ -733,9 +733,9 @@ impl<'a, M: Model> PeRuntime<'a, M> {
     }
 
     /// Apply one message from the inter-PE boundary. Positives land their
-    /// payload in the arena, or in their LP's heap on the windowed arm (the
+    /// payload in the arena, or in their LP's inbox on the windowed arm (the
     /// only copy the kernel ever makes of a delivered payload); fails only
-    /// on arena exhaustion.
+    /// on arena exhaustion. The windowed arm drains only between visits.
     fn apply_remote(&mut self, msg: Remote<M::Payload>) -> Result<(), Halt> {
         match msg {
             Remote::Positive(ev) => {
@@ -746,6 +746,7 @@ impl<'a, M: Model> PeRuntime<'a, M> {
                     return Ok(());
                 }
                 if self.epoch.is_some() {
+                    debug_assert!(!self.store.is_open(), "a delivery during a visit");
                     obs!(self, ObsKind::Enqueue, ev.id, ev.key);
                     let li = self.local_lp_idx(ev.key.dst);
                     return self.push_pending(li, ev.key, ev.payload);
@@ -1669,7 +1670,7 @@ pub(crate) fn run_parallel_inner<M: Model>(
     }
 
     // Every PE's share of the boot events. A windowed run files them in
-    // their LPs' heaps here. Time Warp gives them fresh ids from a dedicated
+    // their LPs' inboxes here. Time Warp gives them fresh ids from a dedicated
     // id space (origin pe = n_pes); their payloads enter the PE's arena on
     // its own thread (the arena is thread-local).
     let epoch = window::window_epoch(model, config);
@@ -1678,7 +1679,7 @@ pub(crate) fn run_parallel_inner<M: Model>(
         .unwrap_or(EventArena::<M::Payload>::DEFAULT_SLOTS);
     let mut seeds: Vec<_> = (per_pe_lps.into_iter())
         .map(|my_lps| {
-            let store = LpHeaps::new(epoch.map_or(0, |_| my_lps.len()), arena_capacity);
+            let store = LpInboxes::new(epoch.map_or(0, |_| my_lps.len()), arena_capacity);
             (my_lps, Vec::new(), store)
         })
         .collect();

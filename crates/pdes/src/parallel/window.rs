@@ -3,16 +3,18 @@
 //! LPs nothing earlier than the end of the epoch it executes in, so once
 //! every message sent before a window opened has been delivered, each LP's
 //! inputs below the window's end are fixed but for its own self-sends, and
-//! it can commit them in its own key order, whatever the other LPs do. Per
-//! window: pop each local LP's heap ([`LpHeaps`]) below the window's end,
-//! flush, hand off the minimum of what is left and of what was sent to
-//! other LPs ([`WindowSync`]), wait for every PE while draining, drain once
-//! verbatim, and move to the epoch holding the agreed minimum (empty epochs
-//! are skipped, YAWNS). Nothing is undone, so no scheduler, arena, Time
-//! Warp record, anti-message, blame or fossil collection runs here, and
-//! only events on the wire carry an id.
+//! it can commit them in its own key order, whatever the other LPs do. So
+//! events are filed unsorted in their LP's inbox ([`LpInboxes`]), and an
+//! LP's due events are sorted once, when its visit opens. Per window: visit
+//! each local LP with events due below the window's end (open, pop the run
+//! dry, close), flush, hand off the minimum of what is left and of what was
+//! sent to other LPs ([`WindowSync`]), wait for every PE while draining,
+//! drain once verbatim, and move to the epoch holding the agreed minimum
+//! (empty epochs are skipped, YAWNS). Nothing is undone, so no scheduler,
+//! arena, Time Warp record, anti-message, blame or fossil collection runs
+//! here, and only events on the wire carry an id.
 //!
-//! [`LpHeaps`]: crate::scheduler::lp_heaps::LpHeaps
+//! [`LpInboxes`]: crate::scheduler::lp_inbox::LpInboxes
 
 use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
 
@@ -23,7 +25,7 @@ use crate::event::{Event, EventKey, InlineEntry, Remote};
 use crate::model::Model;
 use crate::obs::prof::Phase;
 use crate::obs::{ObsKind, ObsRecord};
-use crate::scheduler::lp_heaps::NO_ID;
+use crate::scheduler::lp_inbox::NO_ID;
 use crate::sync::{CachePadded, MAtomicU64};
 
 /// The epoch the run executes in windows of, or `None` for Time Warp: the
@@ -153,14 +155,18 @@ impl<M: Model> PeRuntime<'_, M> {
             let limit = wend.min(end);
             heads = u64::MAX;
             for li in 0..n {
-                loop {
+                // Only an LP with work due is timed: `SchedPop` covers the
+                // partition and the sort, and a pop off the run is a
+                // `Vec::pop`.
+                if self.store.head(li) < limit {
                     let t0 = self.profiler.begin(Phase::SchedPop);
-                    let entry = self.store.pop_below(li, limit);
+                    let opened = self.store.open(li, limit);
                     self.profiler.end(Phase::SchedPop, t0);
-                    let Some(InlineEntry { key, mut payload }) = entry else {
-                        break;
-                    };
-                    self.run_event(li, key, &mut payload, wend)?;
+                    debug_assert!(opened);
+                    while let Some(InlineEntry { key, mut payload }) = self.store.pop() {
+                        self.run_event(li, key, &mut payload, wend)?;
+                    }
+                    self.store.close();
                 }
                 heads = heads.min(self.store.head(li));
             }
@@ -257,8 +263,8 @@ impl<M: Model> PeRuntime<'_, M> {
 
     /// Execute one event of the current window on local LP `li` and commit
     /// it: handle, the model's commit hook, then file or send the children.
-    /// A self-send joins the LP's own heap (it runs in this visit if it is
-    /// due in the window); a child for another LP that lands before `wend`
+    /// A self-send due in the window joins the open run in key order, so
+    /// it runs in this visit; a child for another LP that lands before `wend`
     /// breaks the model's epoch promise and fails the run.
     fn run_event(
         &mut self,
@@ -350,8 +356,11 @@ mod tests {
         /// due at the same time as the second token but sorting before it.
         same_time: bool,
         /// The first token also sends its LP an event three epochs ahead
-        /// (kind 3), so events wait in a heap across windows.
+        /// (kind 3), so events wait in an inbox across windows.
         ahead: bool,
+        /// The first token also sends the next LP an event four epochs
+        /// ahead (kind 4), so a cross-LP child survives that LP's visits.
+        far: bool,
         /// Tokens travel from LP `i` to LP `i - 1`, which a PE visits first,
         /// and LP 0 keeps them.
         down: bool,
@@ -410,6 +419,10 @@ mod tests {
             if p[0] == 0 && self.ahead {
                 ctx.schedule_self(3 * self.epoch.unwrap_or(STEP), 30, [3, 0]);
             }
+            if p[0] == 0 && self.far {
+                let next = (ctx.lp() + 1) % self.n;
+                ctx.schedule(next, 4 * self.epoch.unwrap_or(STEP), 40, [4, 0]);
+            }
         }
 
         fn reverse(&self, s: &mut (u64, u64), p: &mut [u64; 2], _: &ReverseCtx) {
@@ -438,12 +451,13 @@ mod tests {
             panic_at: None,
             same_time: false,
             ahead: false,
+            far: false,
             down: false,
             commits: Mutex::new(Vec::new()),
         }
     }
 
-    /// A ring with every option on.
+    /// A ring with same-time self-sends and events sent ahead.
     fn busy_ring() -> Ring {
         Ring {
             same_time: true,
@@ -555,17 +569,57 @@ mod tests {
         assert!(matches!(err, RunError::GvtStalled { .. }), "{err}");
     }
 
-    #[test]
-    fn same_time_self_sends_and_events_waiting_across_windows_keep_the_oracle() {
-        let m = busy_ring();
-        let cfg = windowed();
-        let seq = Run::new(&m, &cfg).sequential().go().unwrap();
+    /// `m` on the windowed arm at 1 and 2 PEs commits what the sequential
+    /// oracle commits, each LP in the oracle's order, without rolling back
+    /// (and a window that never drains fails the deadline, not the suite).
+    fn assert_windowed_keeps_the_oracle(m: &Ring, cfg: &EngineConfig) {
+        let seq = Run::new(m, cfg).sequential().go().unwrap();
+        let oracle = commit_log(m);
         for pes in [1, 2] {
-            let par = Run::new(&m, &cfg.clone().with_pes(pes)).go().unwrap();
+            let cfg = cfg
+                .clone()
+                .with_pes(pes)
+                .with_deadline(Duration::from_secs(60));
+            let par = Run::new(m, &cfg).go().unwrap();
             assert_eq!(par.output, seq.output, "{pes} PEs");
             assert_eq!(par.stats.events_committed, seq.stats.events_committed);
             assert_eq!(par.stats.events_processed, par.stats.events_committed);
             assert_eq!(par.stats.total_rollbacks(), 0, "{pes} PEs");
+            assert!(commit_log(m) == oracle, "{pes} PEs: commit order diverged");
+        }
+    }
+
+    #[test]
+    fn same_time_self_sends_and_events_waiting_across_windows_keep_the_oracle() {
+        assert_windowed_keeps_the_oracle(&busy_ring(), &windowed());
+    }
+
+    /// With one LP per PE, the same LP opens a visit every window, and
+    /// each visit must start from that window's inbox.
+    #[test]
+    fn one_lp_per_pe_opens_a_visit_every_window() {
+        let m = Ring {
+            n: 2,
+            far: true,
+            ..busy_ring()
+        };
+        let cfg = EngineConfig::new(VirtualTime::from_steps(200))
+            .with_kps(2)
+            .with_lookahead(STEP);
+        assert_windowed_keeps_the_oracle(&m, &cfg);
+    }
+
+    /// A cross-LP child sent four epochs ahead waits in its LP's inbox
+    /// through every visit before its window.
+    #[test]
+    fn a_cross_lp_child_epochs_ahead_survives_repeated_partitions() {
+        for n in [2, 16] {
+            let m = Ring {
+                n,
+                far: true,
+                ..busy_ring()
+            };
+            assert_windowed_keeps_the_oracle(&m, &windowed().with_kps(2));
         }
     }
 

@@ -14,7 +14,8 @@
 //! * [`CalendarQueue`] — Brown's calendar queue; amortized O(1) when tuned.
 //!
 //! The windowed arm, which never rolls back, keeps a fifth set instead of
-//! any of these: one small heap of inline events per LP (`lp_heaps`).
+//! any of these: one unsorted inbox of inline events per LP, sorted when
+//! the LP's visit opens (`lp_inbox`).
 //!
 //! Since the arena split (`pdes::arena`), schedulers order small
 //! [`QueueEntry`] records — a frozen `(EventKey, EventId)` plus the arena
@@ -30,7 +31,7 @@
 mod calendar;
 mod heap;
 mod ladder;
-pub(crate) mod lp_heaps;
+pub(crate) mod lp_inbox;
 mod splay;
 
 pub use calendar::CalendarQueue;

@@ -204,10 +204,10 @@ cargo test --release -q --test checkpoint --test comm_determinism --test conserv
 stage "alloc smoke: ~0 allocations per committed event"
 # Counting global allocator over a warm 4-PE run on the windowed arm (the
 # default bound, the model's one-step epoch), whose payloads live inline in
-# per-LP heaps, not in the arena or the ladder: total allocations (including
-# per-run setup) divided by committed events must stay under the 0.02
-# budget — 5x today's 0.004, so one leaked allocation per event, or one per
-# LP heap per step, fails.
+# per-LP inboxes and one run buffer per PE, not in the arena or the ladder:
+# total allocations (including per-run setup) divided by committed events
+# must stay under the 0.02 budget — 5x today's 0.004, so one leaked
+# allocation per event, or one per LP inbox per step, fails.
 ./target/release/alloc_smoke
 
 stage "forensics smoke: rollback_report on the figure-7 regime"
